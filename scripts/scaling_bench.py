@@ -3,8 +3,8 @@
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
 resident-memory delta in MiB.  Sizes default to a quick sweep; --big adds
-the acceptance-scale instances (m around 10^6 for the matcher, half a
-million network arcs for the LP).
+the acceptance-scale instances (m around 10^6 for the matcher, and edges
+plus open wedges around half a million for the LP).
 """
 from __future__ import annotations
 

@@ -1,45 +1,38 @@
 """Combinatorial 3-approximation algorithms for cluster deletion.
 
 Pipelines pair a weak-edge lower bound (maximal edge-disjoint wedge
-matching, or the half-integral STC relaxation solved as one min cut) with
-pivot clustering of the stripped graph; every cluster is a clique of the
-input, and the certified bound caps deletions at 3x optimum.
+matching, or the half-integral STC relaxation solved as a bipartite
+matching) with pivot clustering of the stripped graph; every cluster is a
+clique of the input, and the certified bound caps deletions at 3x optimum.
 """
 
-from .flow import CutResult, FlowNetwork, max_flow_min_cut
 from .generators import er_graph, tight_instance
-from .graph import (EdgeListParseError, Graph, enumerate_open_wedges,
-                    pack_edge, parse_edge_list, serialize_edge_list,
-                    unpack_edge)
+from .graph import (EdgeListParseError, Graph, InvariantError,
+                    enumerate_open_wedges, pack_edge, parse_edge_list,
+                    serialize_edge_list, unpack_edge)
 from .oracles import (exact_cluster_deletion, exact_min_stc, exact_stc_lp,
                       gallai_graph, min_vertex_cover)
 from .pipelines import (CDResult, apply_merge, best_of_random,
                         match_flip_pivot, merge_clusters, stc_lp_round)
 from .pivoting import (Clustering, PivotAudit, PivotStrategy, ResidualGraph,
                        boundary_and_nonedge_counts, clustering_lines, pivot)
-from .stc import (ArcBudgetError, CutLabels, DEFAULT_ARC_BUDGET,
-                  HalfIntegralSolution, StcCutMap, build_cut_network,
-                  labeling_from_lp, labels_feasible, labels_from_values,
-                  solution_lines, solve_stc_lp, values_from_labels,
-                  verify_stc_feasible)
+from .stc import (ArcBudgetError, DEFAULT_ARC_BUDGET, HalfIntegralSolution,
+                  labeling_from_lp, solve_stc_lp, verify_stc_feasible)
 from .wedges import (FastMatchCursor, OpenWedge, WedgeSet,
                      maximal_wedge_set_fast, maximal_wedge_set_simple,
                      verify_wedge_set, wedge_set_lines)
 
 __all__ = [
-    "ArcBudgetError", "CDResult", "CutLabels", "CutResult", "Clustering",
-    "DEFAULT_ARC_BUDGET", "EdgeListParseError", "FastMatchCursor",
-    "FlowNetwork", "Graph", "HalfIntegralSolution", "OpenWedge",
-    "PivotAudit", "PivotStrategy", "ResidualGraph", "StcCutMap",
-    "WedgeSet", "apply_merge", "best_of_random",
-    "boundary_and_nonedge_counts", "build_cut_network", "clustering_lines",
+    "ArcBudgetError", "CDResult", "Clustering", "DEFAULT_ARC_BUDGET",
+    "EdgeListParseError", "FastMatchCursor", "Graph",
+    "HalfIntegralSolution", "InvariantError", "OpenWedge", "PivotAudit",
+    "PivotStrategy", "ResidualGraph", "WedgeSet", "apply_merge",
+    "best_of_random", "boundary_and_nonedge_counts", "clustering_lines",
     "enumerate_open_wedges", "er_graph", "exact_cluster_deletion",
     "exact_min_stc", "exact_stc_lp", "gallai_graph", "labeling_from_lp",
-    "labels_feasible", "labels_from_values", "match_flip_pivot",
-    "max_flow_min_cut", "maximal_wedge_set_fast", "maximal_wedge_set_simple",
-    "merge_clusters", "min_vertex_cover", "pack_edge",
-    "parse_edge_list", "pivot", "serialize_edge_list", "solution_lines",
-    "solve_stc_lp", "stc_lp_round", "tight_instance", "unpack_edge",
-    "values_from_labels", "verify_stc_feasible", "verify_wedge_set",
-    "wedge_set_lines",
+    "match_flip_pivot", "maximal_wedge_set_fast", "maximal_wedge_set_simple",
+    "merge_clusters", "min_vertex_cover", "pack_edge", "parse_edge_list",
+    "pivot", "serialize_edge_list", "solve_stc_lp", "stc_lp_round",
+    "tight_instance", "unpack_edge", "verify_stc_feasible",
+    "verify_wedge_set", "wedge_set_lines",
 ]

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
-from .graph import Graph
+from .graph import Graph, InvariantError
 from .pivoting import Clustering, PivotAudit, PivotStrategy, pivot
 from .stc import DEFAULT_ARC_BUDGET, labeling_from_lp, solve_stc_lp
 from .wedges import (WedgeSet, maximal_wedge_set_fast,
@@ -159,12 +159,19 @@ def _score(g: Graph, prep: _Prep, clustering: Clustering,
     # every cluster must be a clique of g
     internal_pairs = sum(len(c) * (len(c) - 1) // 2
                          for c in clustering.clusters)
-    assert internal_pairs == g.m - deletions, "non-clique cluster"
+    if internal_pairs != g.m - deletions:
+        raise InvariantError("non-clique cluster")
     if not merged:
         # strong deletions are exactly the audited boundary edges, and
         # kept weak edges are exactly the audited internal non-edges
-        assert m_s == audit.boundary_edges
-        assert len(weak) - m_w == audit.internal_nonedges
+        if m_s != audit.boundary_edges:
+            raise InvariantError(
+                f"{m_s} strong deletions != {audit.boundary_edges} "
+                "audited boundary edges")
+        if len(weak) - m_w != audit.internal_nonedges:
+            raise InvariantError(
+                f"{len(weak) - m_w} kept weak edges != "
+                f"{audit.internal_nonedges} audited internal non-edges")
     lb = prep.lower_bound_half
     ratio = Fraction(2 * deletions, lb) if lb > 0 else None
     return CDResult(
@@ -308,5 +315,6 @@ def apply_merge(g: Graph, result: CDResult,
                 if result.strategy == "random"
                 else PivotStrategy(result.strategy))
     out = _score(g, prep, merged, result.audit, strategy, True, runtime_ms)
-    assert out.deletions <= result.deletions, "merge increased deletions"
+    if out.deletions > result.deletions:
+        raise InvariantError("merge increased deletions")
     return out

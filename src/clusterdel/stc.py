@@ -1,18 +1,23 @@
-"""Half-integral relaxation of strong triadic closure via one min s-t cut.
+"""Half-integral relaxation of strong triadic closure via bipartite matching.
 
 The relaxation assigns each edge a weakness x in {0, 1/2, 1} such that the
 two legs of every open wedge carry total weakness >= 1, minimizing the sum.
 Values are kept in half-units (0, 1, 2) so all arithmetic is integral.
 
-Construction: each edge e gets two flow nodes, an intake fed from the
-source and an outlet feeding the sink, both through arcs of weight 1 (the
-objective is doubled, so one unit = one half).  An open wedge (i, j, k)
-adds intake(ik) -> outlet(jk) and intake(jk) -> outlet(ik) with weight
-m + 1, which no minimum cut ever pays: cutting all m source arcs is
-feasible and costs m.  With S the source side of the minimum cut,
-lo(e) = [intake(e) in S], hi(e) = [outlet(e) in S], and the edge's
-weakness in half-units is hi - lo + 1; the cut pays hi + (1 - lo) per
-edge, so the cut value equals the summed objective exactly.
+It is the fractional vertex cover LP of the Gallai graph, whose nodes are
+the edges of g and whose edges join the two legs of each open wedge.  By
+Nemhauser & Trotter (1975) it is solved exactly on the bipartite double
+cover: a left copy (intake) and a right copy (outlet) of every edge, with
+intake(e) -- outlet(f) whenever e and f are the two legs of an open wedge.
+As a cut network (unit arcs source -> intake and outlet -> sink, uncuttable
+arcs intake -> outlet) its maximum flow is a maximum matching, found here
+by Hopcroft & Karp (1973).  The source side of the inclusion-minimal
+minimum cut is what alternating paths reach from the unmatched intakes: an
+intake reaches all its outlets, an outlet reaches its mate.  That set is
+the same for every maximum matching (König), so the values do not depend
+on which one the matcher finds.  With lo(e) = [intake(e) reached] and
+hi(e) = [outlet(e) reached], the weakness in half-units is hi - lo + 1,
+and the objective equals the cut value, which equals the matching size.
 """
 
 from __future__ import annotations
@@ -20,10 +25,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .flow import FlowNetwork, max_flow_min_cut
-from .graph import Graph, enumerate_open_wedges, pack_edge
+import numpy as np
+
+from .graph import Graph, InvariantError, enumerate_open_wedges
 
 DEFAULT_ARC_BUDGET = 5_000_000
+
+# Candidate neighbour pairs examined per numpy block.  Bounds the transient
+# arrays, so that a hub of huge degree hits the arc budget after a few
+# blocks instead of materialising all of its pairs first.
+_PAIR_BLOCK = 1 << 18
 
 
 class ArcBudgetError(RuntimeError):
@@ -34,16 +45,6 @@ class ArcBudgetError(RuntimeError):
             f"cut network needs more than {needed} arcs (budget {budget})")
         self.needed = needed
         self.budget = budget
-
-
-@dataclass(frozen=True)
-class StcCutMap:
-    """Per-edge flow node ids inside the cut network."""
-
-    intake: list[int]
-    outlet: list[int]
-    source: int
-    sink: int
 
 
 @dataclass
@@ -58,63 +59,149 @@ class HalfIntegralSolution:
         return self.values[self.graph.edge_id(u, v)]
 
 
-@dataclass
-class CutLabels:
-    """Binary split of a half-integral solution: per edge, hi = weakness
-    at least one half, lo = weakness at most one half."""
-
-    hi: list[int]
-    lo: list[int]
-
-
-def build_cut_network(g: Graph,
-                      arc_budget: int = DEFAULT_ARC_BUDGET
-                      ) -> tuple[FlowNetwork, StcCutMap]:
-    """Build the doubled-weight cut network for g's relaxation.
-
-    Raises ArcBudgetError if more than arc_budget arcs would be created
-    (2 per edge plus 2 per open wedge).
-    """
+def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
+    """CSR over edge ids of the Gallai graph (each open wedge joins its two
+    legs both ways), checking the arc budget as wedges are found."""
     m = g.m
     if 2 * m > arc_budget:
         raise ArcBudgetError(2 * m, arc_budget)
-    s = 2 * m
-    t = 2 * m + 1
-    net = FlowNetwork(2 * m + 2, s, t)
-    for e in range(m):
-        net.add_arc(s, 2 * e, 1)
-        net.add_arc(2 * e + 1, t, 1)
-    big = m + 1
-    state = {"arcs": 2 * m}
+    if m == 0:
+        return [0], []
+    indptr = g._indptr
+    nbrs = g._nbrs
+    keys = (g._edge_u << 32) | g._edge_v
+    by_key = np.argsort(keys)
+    sorted_keys = keys[by_key]
+    # slot s of the CSR holds neighbour nbrs[s] of center row_of[s]
+    deg = np.diff(indptr)
+    row_of = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    slot_keys = ((np.minimum(row_of, nbrs) << 32)
+                 | np.maximum(row_of, nbrs))
+    slot_eid = by_key[np.searchsorted(sorted_keys, slot_keys)]
+    # slot s pairs with every later slot of its row
+    pairs_at = indptr[row_of + 1] - np.arange(2 * m) - 1
+    pairs_upto = np.cumsum(pairs_at)
+    arcs = 2 * m
+    legs_a = [np.zeros(0, dtype=np.int64)]
+    legs_b = [np.zeros(0, dtype=np.int64)]
+    s0 = 0
+    while s0 < 2 * m:
+        done = int(pairs_upto[s0 - 1]) if s0 else 0
+        s1 = int(np.searchsorted(pairs_upto, done + _PAIR_BLOCK, "right"))
+        s1 = min(max(s1, s0 + 1), 2 * m)
+        counts = pairs_at[s0:s1]
+        total = int(pairs_upto[s1 - 1]) - done
+        s_lo, s0 = s0, s1
+        if total == 0:
+            continue
+        first = np.repeat(np.arange(s_lo, s1), counts)
+        offset = np.repeat(np.cumsum(counts) - counts, counts)
+        second = first + 1 + (np.arange(total) - offset)
+        pair_keys = (nbrs[first] << 32) | nbrs[second]
+        pos = np.minimum(np.searchsorted(sorted_keys, pair_keys), m - 1)
+        is_open = sorted_keys[pos] != pair_keys
+        found = int(np.count_nonzero(is_open))
+        arcs += 2 * found
+        if arcs > arc_budget:
+            # the count at which a wedge-by-wedge build would have stopped
+            raise ArcBudgetError(arc_budget + 2 - (arc_budget - 2 * m) % 2,
+                                 arc_budget)
+        legs_a.append(slot_eid[first[is_open]])
+        legs_b.append(slot_eid[second[is_open]])
+    tails = np.concatenate(legs_a + legs_b)
+    heads = np.concatenate(legs_b + legs_a)
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=m), out=ptr[1:])
+    return ptr.tolist(), heads[np.argsort(tails, kind="stable")].tolist()
 
-    def sink_wedge(i: int, j: int, k: int) -> None:
-        state["arcs"] += 2
-        if state["arcs"] > arc_budget:
-            raise ArcBudgetError(state["arcs"], arc_budget)
-        eik = g.edge_id(i, k)
-        ejk = g.edge_id(j, k)
-        net.add_arc(2 * eik, 2 * ejk + 1, big)
-        net.add_arc(2 * ejk, 2 * eik + 1, big)
 
-    enumerate_open_wedges(g, sink_wedge)
-    cmap = StcCutMap([2 * e for e in range(m)],
-                     [2 * e + 1 for e in range(m)], s, t)
-    return net, cmap
+def _hopcroft_karp(ptr: list[int], adj: list[int]
+                   ) -> tuple[list[int], list[int]]:
+    """Maximum matching of the double cover as (left mates, right mates),
+    -1 for unmatched.  adj is symmetric, so it serves both sides."""
+    n = len(ptr) - 1
+    mate_l = [-1] * n
+    mate_r = [-1] * n
+    for u in range(n):
+        for v in adj[ptr[u]:ptr[u + 1]]:
+            if mate_r[v] < 0:
+                mate_l[u] = v
+                mate_r[v] = u
+                break
+    while True:
+        # BFS layers over left nodes along alternating paths
+        free = [u for u in range(n) if mate_l[u] < 0 and ptr[u] < ptr[u + 1]]
+        dist = [-1] * n
+        for u in free:
+            dist[u] = 0
+        reachable_free = False
+        queue = list(free)
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            du = dist[u] + 1
+            for v in adj[ptr[u]:ptr[u + 1]]:
+                w = mate_r[v]
+                if w < 0:
+                    reachable_free = True
+                elif dist[w] < 0:
+                    dist[w] = du
+                    queue.append(w)
+        if not reachable_free:
+            return mate_l, mate_r
+        # one DFS per free root along the layers; dead ends get dist -1
+        it = ptr[:-1]
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                p = it[u]
+                if p == ptr[u + 1]:
+                    dist[u] = -1
+                    stack.pop()
+                    continue
+                v = adj[p]
+                it[u] = p + 1
+                w = mate_r[v]
+                if w < 0:
+                    for x in stack:
+                        y = adj[it[x] - 1]
+                        mate_l[x] = y
+                        mate_r[y] = x
+                    break
+                if dist[w] == dist[u] + 1:
+                    stack.append(w)
 
 
 def solve_stc_lp(g: Graph,
                  arc_budget: int = DEFAULT_ARC_BUDGET) -> HalfIntegralSolution:
-    """Solve the relaxation exactly; objective equals the cut value."""
-    net, cmap = build_cut_network(g, arc_budget)
-    cut = max_flow_min_cut(net)
-    side = cut.source_side
-    values = []
-    for e in range(g.m):
-        hi = 1 if cmap.outlet[e] in side else 0
-        lo = 1 if cmap.intake[e] in side else 0
-        values.append(hi - lo + 1)
+    """Solve the relaxation exactly; objective equals the matching size.
+
+    Raises ArcBudgetError if the cut network would need more than
+    arc_budget arcs (2 per edge plus 2 per open wedge).
+    """
+    ptr, adj = _gallai_csr(g, arc_budget)
+    m = g.m
+    mate_l, mate_r = _hopcroft_karp(ptr, adj)
+    # König: alternating reachability from the unmatched left nodes
+    lo = [1 if v < 0 else 0 for v in mate_l]
+    hi = [0] * m
+    queue = [u for u in range(m) if lo[u]]
+    for u in queue:
+        for v in adj[ptr[u]:ptr[u + 1]]:
+            if not hi[v]:
+                hi[v] = 1
+                w = mate_r[v]
+                if w >= 0 and not lo[w]:
+                    lo[w] = 1
+                    queue.append(w)
+    values = [h - l + 1 for h, l in zip(hi, lo)]
     objective = sum(values)
-    assert objective == cut.flow_value, "objective must equal the cut value"
+    matched = m - mate_l.count(-1)
+    if objective != matched:
+        raise InvariantError(
+            f"relaxation objective {objective} != matching size {matched}")
     return HalfIntegralSolution(g, values, objective)
 
 
@@ -138,34 +225,3 @@ def verify_stc_feasible(g: Graph, values: Sequence[int]) -> bool:
 
     enumerate_open_wedges(g, sink_wedge)
     return ok[0]
-
-
-def labels_from_values(values: Sequence[int]) -> CutLabels:
-    return CutLabels([1 if v >= 1 else 0 for v in values],
-                     [1 if v <= 1 else 0 for v in values])
-
-
-def values_from_labels(labels: CutLabels) -> list[int]:
-    return [h - l + 1 for h, l in zip(labels.hi, labels.lo)]
-
-
-def labels_feasible(g: Graph, labels: CutLabels) -> bool:
-    """Check the binary form of the wedge constraints: for every open
-    wedge, lo of one leg is at most hi of the other."""
-    ok = [True]
-
-    def sink_wedge(i: int, j: int, k: int) -> None:
-        eik = g.edge_id(i, k)
-        ejk = g.edge_id(j, k)
-        if labels.lo[eik] > labels.hi[ejk] or labels.lo[ejk] > labels.hi[eik]:
-            ok[0] = False
-
-    enumerate_open_wedges(g, sink_wedge)
-    return ok[0]
-
-
-def solution_lines(sol: HalfIntegralSolution) -> list[str]:
-    """Debug dump, one 'u v value_half_units' line per edge."""
-    g = sol.graph
-    return [f"{g.label_of(u)} {g.label_of(v)} {sol.values[e]}"
-            for e, (u, v) in enumerate(g.edges())]

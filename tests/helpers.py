@@ -1,15 +1,18 @@
 """Independent reference implementations used to cross-check the package.
 
 Everything here is written for clarity, not speed: dense-matrix
-Edmonds-Karp, cubic wedge enumeration, Bell-number partition search.
-None of it shares code with src/.
+Edmonds-Karp, cubic wedge enumeration, Bell-number partition search, the
+relaxation's cut network as an explicit arc list.  None of it shares code
+with src/.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
+from dataclasses import dataclass
+from typing import Sequence
 
-from clusterdel import Graph, er_graph
+from clusterdel import Graph, HalfIntegralSolution, er_graph
 
 
 def edmonds_karp(num_nodes: int, source: int, sink: int,
@@ -127,3 +130,87 @@ def disjoint_paths(k: int) -> Graph:
         edges.append((base, base + 1))
         edges.append((base + 1, base + 2))
     return Graph.from_edges(3 * k, edges)
+
+
+def stc_cut_network(g: Graph) -> tuple[int, int, int,
+                                       list[tuple[int, int, int]]]:
+    """The relaxation's doubled-weight cut network as (nodes, source,
+    sink, arcs).  Edge e owns intake 2e, fed by a unit arc from the
+    source, and outlet 2e + 1, draining by a unit arc into the sink; each
+    open wedge adds intake -> outlet arcs between its legs, both ways,
+    with capacity m + 1, which no minimum cut pays."""
+    m = g.m
+    s, t = 2 * m, 2 * m + 1
+    arcs = []
+    for e in range(m):
+        arcs.append((s, 2 * e, 1))
+        arcs.append((2 * e + 1, t, 1))
+    for i, j, k in brute_force_wedges(g):
+        a, b = g.edge_id(i, k), g.edge_id(j, k)
+        arcs.append((2 * a, 2 * b + 1, m + 1))
+        arcs.append((2 * b, 2 * a + 1, m + 1))
+    return 2 * m + 2, s, t, arcs
+
+
+def stc_values_by_edmonds_karp(g: Graph) -> tuple[int, list[int]]:
+    """Cut value and per-edge half-unit values read off the residual
+    source side S of the cut network: hi - lo + 1 with lo = [intake in S]
+    and hi = [outlet in S]."""
+    nodes, s, t, arcs = stc_cut_network(g)
+    flow, side = edmonds_karp(nodes, s, t, arcs)
+    return flow, [(2 * e + 1 in side) - (2 * e in side) + 1
+                  for e in range(g.m)]
+
+
+def planted_clusters(sizes: Sequence[int], drop: float, noise: int,
+                     seed: int) -> Graph:
+    """Disjoint cliques of the given sizes, each clique edge dropped with
+    chance ``drop``, plus ``noise`` random extra node pairs."""
+    rng = random.Random(seed)
+    edges = []
+    base = 0
+    for size in sizes:
+        for a in range(base, base + size):
+            for b in range(a + 1, base + size):
+                if rng.random() >= drop:
+                    edges.append((a, b))
+        base += size
+    for _ in range(noise):
+        edges.append((rng.randrange(base), rng.randrange(base)))
+    return Graph.from_edges(base, edges)
+
+
+@dataclass
+class CutLabels:
+    """Binary split of a half-integral solution: per edge, hi = weakness
+    at least one half, lo = weakness at most one half."""
+
+    hi: list[int]
+    lo: list[int]
+
+
+def labels_from_values(values: Sequence[int]) -> CutLabels:
+    return CutLabels([1 if v >= 1 else 0 for v in values],
+                     [1 if v <= 1 else 0 for v in values])
+
+
+def values_from_labels(labels: CutLabels) -> list[int]:
+    return [h - l + 1 for h, l in zip(labels.hi, labels.lo)]
+
+
+def labels_feasible(g: Graph, labels: CutLabels) -> bool:
+    """Check the binary form of the wedge constraints: for every open
+    wedge, lo of one leg is at most hi of the other."""
+    for i, j, k in brute_force_wedges(g):
+        eik = g.edge_id(i, k)
+        ejk = g.edge_id(j, k)
+        if labels.lo[eik] > labels.hi[ejk] or labels.lo[ejk] > labels.hi[eik]:
+            return False
+    return True
+
+
+def solution_lines(sol: HalfIntegralSolution) -> list[str]:
+    """Debug dump, one 'u v value_half_units' line per edge."""
+    g = sol.graph
+    return [f"{g.label_of(u)} {g.label_of(v)} {sol.values[e]}"
+            for e, (u, v) in enumerate(g.edges())]

@@ -3,8 +3,12 @@ from __future__ import annotations
 import gzip
 import io
 import json
+import os
 import re
+import subprocess
+import sys
 from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
 
@@ -206,3 +210,27 @@ def test_help_exits_0():
     code, out, _ = run_cli(["--help"])
     assert code == 0
     assert "clusterdel" in out
+
+
+def test_optimized_interpreter_gives_same_output(tight_file, tmp_path):
+    # the result self-checks must not be asserts that -O strips
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    outputs = []
+    for flags in ([], ["-O"]):
+        stats = tmp_path / f"stats{len(flags)}.json"
+        texts = []
+        for argv in (["run", "--in", tight_file, "--algo", "stclp",
+                      "--stats", str(stats)],
+                     ["lb", "--in", tight_file]):
+            proc = subprocess.run(
+                [sys.executable, *flags, "-m", "clusterdel.cli", *argv],
+                capture_output=True, text=True, env=env, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            texts.append(proc.stdout)
+        record = json.loads(stats.read_text())
+        record.pop("runtime_ms")
+        outputs.append((texts, record))
+    assert outputs[0] == outputs[1]

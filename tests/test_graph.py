@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -115,6 +117,35 @@ def test_drop_edges_returns_pruned_copy():
     assert not g2.has_edge(0, 1)
     assert g2.has_edge(1, 2) and g2.has_edge(0, 2)
     assert g2.labels == g.labels
+
+
+def drop_edges_by_comprehension(g, packed_keys):
+    """The loop drop_edges replaced, kept as its reference."""
+    keep = [e for e, key in enumerate(g.packed_edges())
+            if key not in packed_keys]
+    return Graph(g.n, g._edge_u[keep], g._edge_v[keep], labels=g.labels,
+                 id_map=g.id_map)
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_drop_edges_matches_comprehension(seed):
+    rng = random.Random(seed)
+    g = er_graph(rng.randrange(1, 40), rng.choice((0.1, 0.3, 0.6)),
+                 seed=seed)
+    keys = g.packed_edges()
+    absent = [pack_edge(u, v) for u in range(g.n + 2)
+              for v in range(u + 1, g.n + 2) if not g.has_edge(u, v)]
+    for drop in (set(), set(keys), set(rng.sample(keys, len(keys) // 3)),
+                 set(rng.sample(absent, min(5, len(absent))))
+                 | set(keys[::4])):
+        got = g.drop_edges(drop)
+        want = drop_edges_by_comprehension(g, drop)
+        assert (got.n, got.labels, got.id_map) == (g.n, g.labels, g.id_map)
+        assert got.packed_edges() == want.packed_edges()
+        assert [got.edge_id(u, v) for u, v in got.edges()] == \
+            list(range(got.m))
+        assert all(got.neighbors(v).tolist() == want.neighbors(v).tolist()
+                   for v in range(g.n))
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -9,6 +10,7 @@ from clusterdel import (
     ArcBudgetError,
     Clustering,
     Graph,
+    InvariantError,
     PivotStrategy,
     apply_merge,
     best_of_random,
@@ -18,6 +20,7 @@ from clusterdel import (
     stc_lp_round,
     tight_instance,
 )
+from clusterdel import pipelines
 from helpers import clusters_are_cliques, cut_deletions
 
 JSON_KEYS = ["algorithm", "strategy", "seed", "n", "m", "wedges",
@@ -208,3 +211,42 @@ def test_wedge_injection_overrides_matcher():
     assert res.wedges == q
     assert res.weak_edges == ws.weak_count
     assert res.weak_set == ws.weak_edges
+
+
+def _patch_pivot(monkeypatch, tamper):
+    real = pipelines.pivot
+    monkeypatch.setattr(pipelines, "pivot",
+                        lambda g, strategy: tamper(*real(g, strategy)))
+
+
+def test_score_rejects_non_clique_cluster(monkeypatch):
+    _patch_pivot(monkeypatch, lambda clustering, audit: (
+        Clustering([0, 0, 0], [[0, 1, 2]]), audit))
+    with pytest.raises(InvariantError, match="non-clique"):
+        match_flip_pivot(P3, PivotStrategy.degree())
+
+
+def test_score_rejects_boundary_audit_mismatch(monkeypatch):
+    _patch_pivot(monkeypatch, lambda clustering, audit: (
+        clustering, replace(audit, boundary_edges=audit.boundary_edges + 1)))
+    with pytest.raises(InvariantError, match="boundary"):
+        match_flip_pivot(P3, PivotStrategy.degree())
+
+
+def test_score_rejects_nonedge_audit_mismatch(monkeypatch):
+    _patch_pivot(monkeypatch, lambda clustering, audit: (
+        clustering,
+        replace(audit, internal_nonedges=audit.internal_nonedges + 1)))
+    with pytest.raises(InvariantError, match="non-edges"):
+        stc_lp_round(P3, PivotStrategy.degree())
+
+
+def test_apply_merge_rejects_more_deletions(monkeypatch):
+    g = er_graph(4, 1.0, seed=0)
+    res = match_flip_pivot(g, PivotStrategy.degree())
+    assert res.deletions == 0
+    monkeypatch.setattr(pipelines, "merge_clusters",
+                        lambda g, clustering, passes, budget: Clustering(
+                            list(range(4)), [[v] for v in range(4)]))
+    with pytest.raises(InvariantError, match="merge increased"):
+        apply_merge(g, res)

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -7,19 +9,19 @@ from hypothesis import strategies as st
 from clusterdel import (
     ArcBudgetError,
     Graph,
-    build_cut_network,
+    InvariantError,
+    enumerate_open_wedges,
     er_graph,
     exact_stc_lp,
     labeling_from_lp,
-    labels_feasible,
-    labels_from_values,
     pack_edge,
-    solution_lines,
     solve_stc_lp,
-    values_from_labels,
     verify_stc_feasible,
 )
+from clusterdel import stc
 from clusterdel.stc import DEFAULT_ARC_BUDGET
+from helpers import (labels_feasible, labels_from_values, solution_lines,
+                     stc_cut_network, values_from_labels)
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -28,25 +30,22 @@ P4 = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
 
 
 def test_network_shape_for_path():
-    net, cut_map = build_cut_network(P3)
-    assert cut_map.source == 2 * P3.m
-    assert cut_map.sink == 2 * P3.m + 1
+    nodes, source, sink, arcs = stc_cut_network(P3)
+    assert (nodes, source, sink) == (2 * P3.m + 2, 2 * P3.m, 2 * P3.m + 1)
     # one intake and one outlet arc per edge, two arcs for the one wedge
-    assert net.arc_count == 2 * P3.m + 2
+    assert len(arcs) == 2 * P3.m + 2
     for e in range(P3.m):
-        assert cut_map.intake[e] == 2 * e
-        assert cut_map.outlet[e] == 2 * e + 1
+        assert (source, 2 * e, 1) in arcs
+        assert (2 * e + 1, sink, 1) in arcs
 
 
 def test_network_shape_for_triangle():
-    net, _ = build_cut_network(TRIANGLE)
-    assert net.arc_count == 2 * TRIANGLE.m
+    assert len(stc_cut_network(TRIANGLE)[3]) == 2 * TRIANGLE.m
 
 
 def test_network_shape_for_star():
-    net, _ = build_cut_network(STAR)
     # three wedges at the hub
-    assert net.arc_count == 2 * STAR.m + 6
+    assert len(stc_cut_network(STAR)[3]) == 2 * STAR.m + 6
 
 
 def test_path_solution():
@@ -144,7 +143,7 @@ def test_labeling_from_lp_collects_weak_edges():
 
 def test_arc_budget_upfront_rejection():
     with pytest.raises(ArcBudgetError) as exc:
-        build_cut_network(STAR, arc_budget=3)
+        solve_stc_lp(STAR, arc_budget=3)
     assert exc.value.budget == 3
     assert exc.value.needed > 3
     assert "arc" in str(exc.value)
@@ -153,17 +152,57 @@ def test_arc_budget_upfront_rejection():
 def test_arc_budget_mid_stream_rejection():
     g = er_graph(20, 0.4, seed=5)
     lower = 2 * g.m
-    with pytest.raises(ArcBudgetError):
-        build_cut_network(g, arc_budget=lower + 2)
+    with pytest.raises(ArcBudgetError) as exc:
+        solve_stc_lp(g, arc_budget=lower + 2)
+    # the first count past the budget, as a wedge-by-wedge build reports it
+    assert exc.value.needed == lower + 4
+    with pytest.raises(ArcBudgetError) as exc:
+        solve_stc_lp(g, arc_budget=lower + 3)
+    assert exc.value.needed == lower + 4
     # generous budget succeeds
-    net, _ = build_cut_network(g, arc_budget=DEFAULT_ARC_BUDGET)
-    assert net.arc_count >= lower
+    sol = solve_stc_lp(g, arc_budget=DEFAULT_ARC_BUDGET)
+    assert verify_stc_feasible(g, sol.values)
+    assert lower + 2 * enumerate_open_wedges(g) == len(stc_cut_network(g)[3])
+
+
+def test_arc_budget_counts_every_wedge():
+    g = er_graph(30, 0.3, seed=8)
+    needed = 2 * g.m + 2 * enumerate_open_wedges(g)
+    assert solve_stc_lp(g, arc_budget=needed).objective_half_units > 0
+    with pytest.raises(ArcBudgetError):
+        solve_stc_lp(g, arc_budget=needed - 1)
 
 
 def test_solve_respects_budget_argument():
     g = er_graph(20, 0.4, seed=5)
     with pytest.raises(ArcBudgetError):
         solve_stc_lp(g, arc_budget=2 * g.m + 2)
+
+
+def test_huge_star_fails_fast_in_bounded_memory():
+    # C(100000, 2) candidate pairs would take tens of GiB as arrays
+    star = Graph.from_edges(100_001, [(0, v) for v in range(1, 100_001)])
+    tracemalloc.start()
+    try:
+        with pytest.raises(ArcBudgetError):
+            solve_stc_lp(star)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 256 * 2**20
+
+
+def test_objective_must_equal_matching_size(monkeypatch):
+    # an empty matching is not maximum; the König read-off then disagrees
+    real = stc._hopcroft_karp
+
+    def empty_matching(ptr, adj):
+        mate_l, _ = real(ptr, adj)
+        return [-1] * len(mate_l), [-1] * len(mate_l)
+
+    monkeypatch.setattr(stc, "_hopcroft_karp", empty_matching)
+    with pytest.raises(InvariantError, match="matching size"):
+        solve_stc_lp(P3)
 
 
 def test_solution_lines_use_labels():
