@@ -1,10 +1,16 @@
 #!/usr/bin/env python3
-"""Scaling benchmark for the fast matcher and the combinatorial LP.
+"""Scaling benchmark for the fast matcher, the combinatorial LP, the ratio
+pivot and cluster merging.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
-resident-memory delta in MiB.  Sizes default to a quick sweep; --big adds
-the acceptance-scale instances (m around 10^6 for the matcher, and edges
-plus open wedges around half a million for the LP).
+resident-memory delta in MiB.  The problem size is the matched wedge
+count for the matcher, edges plus open wedges for the LP, the stripped
+graph's edge count for the ratio pivot, and the number of clusters fed
+to the merge.  The pivot and merge rows run on the graph left after the
+fast matcher's weak edges are stripped, as the mfp pipeline does; the
+merge input is its degree-pivot clustering.  Sizes default to a quick
+sweep; --big adds the acceptance-scale instances (m around 10^6 for the
+matcher, and edges plus open wedges around half a million for the LP).
 """
 from __future__ import annotations
 
@@ -18,8 +24,11 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from clusterdel import (  # noqa: E402
     enumerate_open_wedges,
+    PivotStrategy,
     er_graph,
     maximal_wedge_set_fast,
+    merge_clusters,
+    pivot,
     solve_stc_lp,
 )
 
@@ -27,6 +36,7 @@ MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
 MATCHER_BIG = [(20_000, 0.005)]
 LP_SWEEP = [(30_000, 1.5 / 30_000), (100_000, 1.5 / 100_000)]
 LP_BIG = [(260_000, 1.5 / 260_000)]
+PIVOT_MERGE = [(2_000, 0.01), (5_000, 0.004)]
 
 
 def rss_bytes() -> int:
@@ -62,6 +72,27 @@ def bench_lp(n: int, p: float, seed: int) -> None:
     assert sol.objective_half_units >= 0
 
 
+def bench_pivot_and_merge(n: int, p: float, seed: int) -> None:
+    g = er_graph(n, p, seed=seed)
+    ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
+    gc.collect()
+    before = rss_bytes()
+    t0 = perf_counter()
+    pivot(ghat, PivotStrategy.ratio())
+    elapsed = perf_counter() - t0
+    delta = (rss_bytes() - before) / 2**20
+    print(f"pivot-ratio,{g.n},{g.m},{ghat.m},{elapsed:.2f},{delta:.0f}")
+    clustering, _ = pivot(ghat, PivotStrategy.degree())
+    gc.collect()
+    before = rss_bytes()
+    t0 = perf_counter()
+    merge_clusters(g, clustering)
+    elapsed = perf_counter() - t0
+    delta = (rss_bytes() - before) / 2**20
+    print(f"merge,{g.n},{g.m},{clustering.num_clusters},{elapsed:.2f},"
+          f"{delta:.0f}")
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--big", action="store_true",
@@ -73,6 +104,8 @@ def main() -> int:
         bench_matcher(n, p, args.seed)
     for n, p in LP_SWEEP + (LP_BIG if args.big else []):
         bench_lp(n, p, args.seed)
+    for n, p in PIVOT_MERGE:
+        bench_pivot_and_merge(n, p, args.seed)
     return 0
 
 

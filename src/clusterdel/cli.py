@@ -12,7 +12,8 @@ Examples:
   clusterdel gen --tight 16 --out tight16.txt
 
 Exit codes: 0 ok, 1 malformed input, 2 relaxation arc budget exceeded,
-3 invalid flags or parameters.
+3 invalid flags or parameters, 4 internal error (a result failed one of
+its invariant checks; this is a bug, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -23,7 +24,8 @@ import json
 import sys
 
 from .generators import er_graph, tight_instance
-from .graph import EdgeListParseError, parse_edge_list, serialize_edge_list
+from .graph import (EdgeListParseError, InvariantError, parse_edge_list,
+                    serialize_edge_list)
 from .pipelines import (apply_merge, best_of_random, match_flip_pivot,
                         stc_lp_round)
 from .pivoting import PivotStrategy, clustering_lines
@@ -110,22 +112,18 @@ def _cmd_run(args) -> int:
         return _fail(str(exc), 1)
     except OSError as exc:
         return _fail(str(exc), 1)
-    seed = args.seed if args.seed is not None else 0
+    strategy = (PivotStrategy.random(args.seed or 0)
+                if args.strategy == "random"
+                else PivotStrategy(args.strategy))
     summary = None
     try:
         if args.trials > 1:
             result, summary = best_of_random(
-                g, args.trials, base_seed=seed, algorithm=args.algo,
+                g, args.trials, base_seed=strategy.seed, algorithm=args.algo,
                 matcher=matcher, arc_budget=args.lp_arc_budget)
         elif args.algo == "mfp":
-            strategy = (PivotStrategy.random(seed)
-                        if args.strategy == "random"
-                        else PivotStrategy(args.strategy))
             result = match_flip_pivot(g, strategy, matcher=matcher)
         else:
-            strategy = (PivotStrategy.random(seed)
-                        if args.strategy == "random"
-                        else PivotStrategy(args.strategy))
             result = stc_lp_round(g, strategy,
                                   arc_budget=args.lp_arc_budget)
     except ArcBudgetError as exc:
@@ -199,11 +197,15 @@ def _cmd_gen(args) -> int:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "run":
-        return _cmd_run(args)
-    if args.command == "lb":
-        return _cmd_lb(args)
-    return _cmd_gen(args)
+    try:
+        if args.command == "run":
+            return _cmd_run(args)
+        if args.command == "lb":
+            return _cmd_lb(args)
+        return _cmd_gen(args)
+    except InvariantError as exc:
+        print(f"clusterdel: internal error: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

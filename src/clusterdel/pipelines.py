@@ -249,13 +249,24 @@ def merge_clusters(g: Graph, clustering: Clustering,
                    budget_ms: float | None = None) -> Clustering:
     """Greedily merge cluster pairs whose union is still a clique.
 
-    Pairs are scanned largest-first (ties by cluster id), restarting until
-    a full pass makes no merge or a budget runs out.  Deletions never
-    increase, so stopping early is always safe.  The scan is quadratic in
-    the number of clusters; pass budget_ms on large instances.
+    Each pass visits the clusters largest-first (ties by cluster id), and
+    each visited cluster absorbs every later cluster it still can, in that
+    order.  Passes repeat until one makes no merge or a budget runs out.
+    Deletions never increase, so stopping early is always safe.
+
+    A cluster that can join cluster a lies wholly inside the neighbourhood
+    of any one member of a, and a only grows during its turn.  So a's
+    candidates are the clusters owning that member's neighbours, and a
+    pass costs the sum of those degrees plus the clique tests.  Every
+    cluster must be non-empty, as pivot's are.
     """
     clusters = [list(c) for c in clustering.clusters]
+    owner = [-1] * g.n
+    for c, members in enumerate(clusters):
+        for v in members:
+            owner[v] = c
     dead = [False] * len(clusters)
+    position = [0] * len(clusters)
     deadline = (perf_counter() + budget_ms / 1000.0
                 if budget_ms is not None else None)
     passes = 0
@@ -264,17 +275,25 @@ def merge_clusters(g: Graph, clustering: Clustering,
         passes += 1
         order = sorted((c for c in range(len(clusters)) if not dead[c]),
                        key=lambda c: (-len(clusters[c]), c))
+        for i, c in enumerate(order):
+            position[c] = i
         merged_any = False
         for ai, a in enumerate(order):
             if dead[a]:
                 continue
-            for b in order[ai + 1:]:
-                if dead[b] or dead[a]:
-                    continue
+            # owner[] never names a dead cluster, so a later position
+            # is the only filter
+            later = sorted(p for p in {position[owner[y]] for y in
+                                       g.neighbors(clusters[a][0]).tolist()}
+                           if p > ai)
+            for p in later:
+                b = order[p]
                 if deadline is not None and perf_counter() > deadline:
                     out_of_time = True
                     break
                 if _mergeable(g, clusters[a], clusters[b]):
+                    for v in clusters[b]:
+                        owner[v] = a
                     clusters[a] = sorted(clusters[a] + clusters[b])
                     dead[b] = True
                     merged_any = True
@@ -311,9 +330,7 @@ def apply_merge(g: Graph, result: CDResult,
                  result.lower_bound_half_units, g, 0.0)
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms
-    strategy = (PivotStrategy.random(result.seed)
-                if result.strategy == "random"
-                else PivotStrategy(result.strategy))
+    strategy = PivotStrategy(result.strategy, result.seed)
     out = _score(g, prep, merged, result.audit, strategy, True, runtime_ms)
     if out.deletions > result.deletions:
         raise InvariantError("merge increased deletions")

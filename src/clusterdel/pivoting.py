@@ -13,6 +13,13 @@ Strategies:
           as 0 when both counts are 0 and +inf when only N_k is 0
           (lowest id on ties)
   random  pick uniformly among live nodes, seeded
+
+The ratio selector keeps every live node's exact key in a lazy min-heap.
+Removing a cluster changes (|B_k|, |N_k|) only for nodes within distance
+2 of it, so a round re-scores just those nodes: the live neighbours of
+the cluster and their live neighbours.  A node's score costs the sum of
+its live neighbours' degrees, so a round costs that sum over the dirty
+set instead of over every live node.
 """
 
 from __future__ import annotations
@@ -20,7 +27,6 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .graph import Graph
 
@@ -143,30 +149,68 @@ class _DegreeSelector:
             heapq.heappush(self.heap, (-state.live_deg[w], w))
 
 
+class _RatioKey:
+    """Exact ratio-strategy key (class, |B|/|N|, id) for heap ordering.
+
+    Class 1 holds the nodes whose ratio is +inf (|N| = 0 < |B|); a node
+    with |B| = |N| = 0 has ratio 0.  Ratios compare by cross-multiplying
+    integers, never as floats.
+    """
+
+    __slots__ = ("inf", "b", "nn", "v")
+
+    def __init__(self, b: int, nn: int, v: int):
+        self.inf = nn == 0 and b > 0
+        if nn == 0:
+            b, nn = 0, 1
+        self.b = b
+        self.nn = nn
+        self.v = v
+
+    def __lt__(self, other: "_RatioKey") -> bool:
+        if self.inf != other.inf:
+            return other.inf
+        lhs = self.b * other.nn
+        rhs = other.b * self.nn
+        if lhs != rhs:
+            return lhs < rhs
+        return self.v < other.v
+
+
 class _RatioSelector:
+    """Lazy min-heap of ratio keys; a re-scored or removed node's older
+    entries go stale and are discarded at pop time."""
+
     def __init__(self, state: ResidualGraph):
         self.state = state
+        self.key = [self._score(v) for v in range(state.g.n)]
+        self.heap = list(self.key)
+        heapq.heapify(self.heap)
+
+    def _score(self, v: int) -> _RatioKey:
+        b, nn = boundary_and_nonedge_counts(self.state, v)
+        return _RatioKey(b, nn, v)
 
     def pop(self) -> int:
-        state = self.state
-        alive = state.alive
-        best_key = None
-        best_v = -1
-        for v in range(state.g.n):
-            if not alive[v]:
-                continue
-            b, nn = boundary_and_nonedge_counts(state, v)
-            if nn == 0:
-                key = (1, 0) if b else (0, Fraction(0))
-            else:
-                key = (0, Fraction(b, nn))
-            if best_key is None or key < best_key:
-                best_key = key
-                best_v = v
-        return best_v
+        alive = self.state.alive
+        key = self.key
+        heap = self.heap
+        while True:
+            top = heap[0]
+            if alive[top.v] and key[top.v] is top:
+                return top.v
+            heapq.heappop(heap)
 
     def degrees_changed(self, touched: list[int]) -> None:
-        pass
+        state = self.state
+        near = set(touched)
+        dirty = set(near)
+        for w in near:
+            dirty.update(state.live_neighbors(w))
+        for v in dirty:
+            k = self._score(v)
+            self.key[v] = k
+            heapq.heappush(self.heap, k)
 
 
 class _RandomSelector:

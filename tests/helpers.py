@@ -2,14 +2,16 @@
 
 Everything here is written for clarity, not speed: dense-matrix
 Edmonds-Karp, cubic wedge enumeration, Bell-number partition search, the
-relaxation's cut network as an explicit arc list.  None of it shares code
-with src/.
+relaxation's cut network as an explicit arc list, the ratio pivot as a
+full scan per round, and cluster merging over all pairs.  None of it
+shares code with src/.
 """
 from __future__ import annotations
 
 import random
 from collections import deque
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Sequence
 
 from clusterdel import Graph, HalfIntegralSolution, er_graph
@@ -178,6 +180,89 @@ def planted_clusters(sizes: Sequence[int], drop: float, noise: int,
     for _ in range(noise):
         edges.append((rng.randrange(base), rng.randrange(base)))
     return Graph.from_edges(base, edges)
+
+
+def ratio_pivot_by_full_scan(g: Graph) -> tuple[
+        list[int], list[list[int]], list[tuple[int, int, int]]]:
+    """Pivot g by the ratio rule, scoring every live node in every round.
+
+    Returns (assignment, clusters, per_iteration) in the shapes of
+    Clustering and PivotAudit.  The key is (0, |B|/|N|) when |N| > 0,
+    (0, 0) when |B| = |N| = 0 and (1, 0) when only |N| = 0; the lowest id
+    wins ties."""
+    nbrs = [g.neighbors(v).tolist() for v in range(g.n)]
+    alive = [True] * g.n
+
+    def counts(k: int) -> tuple[list[int], int, int]:
+        members = [u for u in nbrs[k] if alive[u]]
+        inside = set(members)
+        boundary = twice_inside = 0
+        for u in members:
+            for w in nbrs[u]:
+                if alive[w] and w != k:
+                    if w in inside:
+                        twice_inside += 1
+                    else:
+                        boundary += 1
+        d = len(members)
+        return members, boundary, d * (d - 1) // 2 - twice_inside // 2
+
+    assignment = [-1] * g.n
+    clusters: list[list[int]] = []
+    per_iteration: list[tuple[int, int, int]] = []
+    while any(alive):
+        best_key = best_v = None
+        for v in range(g.n):
+            if alive[v]:
+                _, b, nn = counts(v)
+                key = ((0, Fraction(b, nn)) if nn
+                       else (1 if b else 0, Fraction(0)))
+                if best_key is None or key < best_key:
+                    best_key, best_v = key, v
+        members, b, nn = counts(best_v)
+        cluster = sorted(members + [best_v])
+        for v in cluster:
+            assignment[v] = len(clusters)
+            alive[v] = False
+        clusters.append(cluster)
+        per_iteration.append((best_v, b, nn))
+    return assignment, clusters, per_iteration
+
+
+def merge_clusters_pairwise(g: Graph, clusters: Sequence[Sequence[int]],
+                            max_passes: int | None = None
+                            ) -> tuple[list[int], list[list[int]]]:
+    """Greedy clique-preserving merging by testing every later cluster.
+
+    Each pass orders the live clusters largest-first (ties by id); each
+    cluster in turn absorbs every later live cluster whose union with it
+    is a clique.  Passes repeat until one merges nothing or max_passes
+    run.  Returns (assignment, surviving clusters)."""
+    clusters = [list(c) for c in clusters]
+    dead = [False] * len(clusters)
+    passes = 0
+    while max_passes is None or passes < max_passes:
+        passes += 1
+        order = sorted((c for c in range(len(clusters)) if not dead[c]),
+                       key=lambda c: (-len(clusters[c]), c))
+        merged_any = False
+        for ai, a in enumerate(order):
+            if dead[a]:
+                continue
+            for b in order[ai + 1:]:
+                if not dead[b] and all(g.has_edge(u, v) for u in clusters[a]
+                                       for v in clusters[b]):
+                    clusters[a] = sorted(clusters[a] + clusters[b])
+                    dead[b] = True
+                    merged_any = True
+        if not merged_any:
+            break
+    survivors = [c for c, gone in zip(clusters, dead) if not gone]
+    assignment = [-1] * g.n
+    for cid, members in enumerate(survivors):
+        for v in members:
+            assignment[v] = cid
+    return assignment, survivors
 
 
 @dataclass

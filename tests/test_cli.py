@@ -12,7 +12,8 @@ from pathlib import Path
 
 import pytest
 
-from clusterdel import parse_edge_list, serialize_edge_list, tight_instance
+from clusterdel import (Clustering, parse_edge_list, pipelines,
+                        serialize_edge_list, tight_instance)
 from clusterdel.cli import main
 
 RUN_LINE = re.compile(
@@ -167,6 +168,19 @@ def test_run_arc_budget_exits_2(tight_file):
                             "--lp-arc-budget", "10"])
     assert code == 2
     assert "arc" in err
+
+
+def test_invariant_error_exits_4(tight_file, monkeypatch):
+    # a merge that splits every cluster apart adds deletions, which
+    # apply_merge's own check must refuse
+    monkeypatch.setattr(
+        pipelines, "merge_clusters", lambda g, clustering, passes, budget:
+        Clustering(list(range(g.n)), [[v] for v in range(g.n)]))
+    code, out, err = run_cli(["run", "--in", tight_file, "--merge"])
+    assert code == 4
+    assert out == ""
+    assert err == ("clusterdel: internal error: "
+                   "merge increased deletions\n")
 
 
 def test_gen_tight_roundtrip(tmp_path):
