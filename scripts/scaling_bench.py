@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
-"""Scaling benchmark for the fast matcher, the combinatorial LP, the ratio
-pivot and cluster merging.
+"""Scaling benchmark for the fast matcher, the combinatorial LP, the
+pivot strategies, cluster merging and the whole mfp pipeline.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
 resident-memory delta in MiB.  The problem size is the matched wedge
-count for the matcher, edges plus open wedges for the LP, the stripped
-graph's edge count for the ratio pivot, and the number of clusters fed
-to the merge.  The pivot and merge rows run on the graph left after the
-fast matcher's weak edges are stripped, as the mfp pipeline does; the
-merge input is its degree-pivot clustering.  Sizes default to a quick
-sweep; --big adds the acceptance-scale instances (m around 10^6 for the
-matcher, and edges plus open wedges around half a million for the LP).
+count for the matcher and for mfp, edges plus open wedges for the LP,
+the stripped graph's edge count for the pivot rows, and the number of
+clusters fed to the merge.  The pivot and merge rows run on the graph
+left after the fast matcher's weak edges are stripped, as the mfp
+pipeline does; the random pivot uses --seed, and the merge input is the
+degree-pivot clustering.  The mfp row times one whole match_flip_pivot
+call with the degree strategy: matcher, strip, pivot and scoring.
+Sizes default to a quick sweep; --big adds the acceptance-scale
+instances (m around 10^6 for the matcher, and edges plus open wedges
+around half a million for the LP).
 """
 from __future__ import annotations
 
@@ -26,6 +29,7 @@ from clusterdel import (  # noqa: E402
     enumerate_open_wedges,
     PivotStrategy,
     er_graph,
+    match_flip_pivot,
     maximal_wedge_set_fast,
     merge_clusters,
     pivot,
@@ -56,7 +60,7 @@ def bench_matcher(n: int, p: float, seed: int) -> None:
     ws = maximal_wedge_set_fast(g)
     elapsed = perf_counter() - t0
     delta = (rss_bytes() - before) / 2**20
-    print(f"matcher,{g.n},{g.m},{len(ws.wedges)},{elapsed:.2f},{delta:.0f}")
+    print(f"matcher,{g.n},{g.m},{len(ws.wedges)},{elapsed:.3f},{delta:.0f}")
 
 
 def bench_lp(n: int, p: float, seed: int) -> None:
@@ -68,29 +72,34 @@ def bench_lp(n: int, p: float, seed: int) -> None:
     sol = solve_stc_lp(g)
     elapsed = perf_counter() - t0
     delta = (rss_bytes() - before) / 2**20
-    print(f"lp,{g.n},{g.m},{size},{elapsed:.2f},{delta:.0f}")
+    print(f"lp,{g.n},{g.m},{size},{elapsed:.3f},{delta:.0f}")
     assert sol.objective_half_units >= 0
+
+
+def timed(fn, *args):
+    """(result, wall seconds, resident-memory delta in MiB) of one call."""
+    gc.collect()
+    before = rss_bytes()
+    t0 = perf_counter()
+    out = fn(*args)
+    elapsed = perf_counter() - t0
+    return out, elapsed, (rss_bytes() - before) / 2**20
 
 
 def bench_pivot_and_merge(n: int, p: float, seed: int) -> None:
     g = er_graph(n, p, seed=seed)
     ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
-    gc.collect()
-    before = rss_bytes()
-    t0 = perf_counter()
-    pivot(ghat, PivotStrategy.ratio())
-    elapsed = perf_counter() - t0
-    delta = (rss_bytes() - before) / 2**20
-    print(f"pivot-ratio,{g.n},{g.m},{ghat.m},{elapsed:.2f},{delta:.0f}")
+    for stage, strategy in (("pivot-degree", PivotStrategy.degree()),
+                            ("pivot-ratio", PivotStrategy.ratio()),
+                            ("pivot-random", PivotStrategy.random(seed))):
+        _, elapsed, delta = timed(pivot, ghat, strategy)
+        print(f"{stage},{g.n},{g.m},{ghat.m},{elapsed:.3f},{delta:.0f}")
     clustering, _ = pivot(ghat, PivotStrategy.degree())
-    gc.collect()
-    before = rss_bytes()
-    t0 = perf_counter()
-    merge_clusters(g, clustering)
-    elapsed = perf_counter() - t0
-    delta = (rss_bytes() - before) / 2**20
-    print(f"merge,{g.n},{g.m},{clustering.num_clusters},{elapsed:.2f},"
+    _, elapsed, delta = timed(merge_clusters, g, clustering)
+    print(f"merge,{g.n},{g.m},{clustering.num_clusters},{elapsed:.3f},"
           f"{delta:.0f}")
+    res, elapsed, delta = timed(match_flip_pivot, g, PivotStrategy.degree())
+    print(f"mfp,{g.n},{g.m},{res.wedges},{elapsed:.3f},{delta:.0f}")
 
 
 def main() -> int:

@@ -51,9 +51,12 @@ class Graph:
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None,
-                 id_map: dict[int, int] | None = None):
+                 id_map: dict[int, int] | None = None,
+                 edge_ids: dict[int, int] | None = None):
         # edge_u/edge_v must already be canonical (u < v), deduplicated,
         # self-loop free, in edge-id order.  Use from_edges/parse_edge_list.
+        # edge_ids, when given, must map each packed key to its edge id;
+        # the graph takes ownership of it.
         self.n = n
         self.m = int(len(edge_u))
         self.labels = labels
@@ -64,31 +67,42 @@ class Graph:
         if self.m:
             rows = np.concatenate([edge_u, edge_v])
             cols = np.concatenate([edge_v, edge_u])
-            order = np.lexsort((cols, rows))
+            # the (row, col) slot keys are distinct, so one argsort of
+            # them orders the slots as a lexsort by row then col would
+            order = np.argsort((rows << _SHIFT) | cols)
             self._nbrs = cols[order]
             counts = np.bincount(rows, minlength=n)
             np.cumsum(counts, out=self._indptr[1:])
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
-        packed = ((edge_u << _SHIFT) | edge_v).tolist()
-        self._edge_ids = {key: idx for idx, key in enumerate(packed)}
+        if edge_ids is None:
+            packed = ((edge_u << _SHIFT) | edge_v).tolist()
+            edge_ids = dict(zip(packed, range(len(packed))))
+        self._edge_ids = edge_ids
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: list[int] | None = None,
                    id_map: dict[int, int] | None = None) -> "Graph":
         """Build a graph on nodes 0..n-1; drops self-loops and duplicates."""
-        seen: dict[int, None] = {}
+        seen: dict[int, int] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 continue
-            seen.setdefault(pack_edge(u, v), None)
-        m = len(seen)
-        edge_u = np.fromiter((k >> _SHIFT for k in seen), dtype=np.int64, count=m)
-        edge_v = np.fromiter((k & _MASK for k in seen), dtype=np.int64, count=m)
-        return cls(n, edge_u, edge_v, labels=labels, id_map=id_map)
+            seen.setdefault(pack_edge(u, v), len(seen))
+        return cls._from_edge_ids(n, seen, labels, id_map)
+
+    @classmethod
+    def _from_edge_ids(cls, n: int, edge_ids: dict[int, int],
+                       labels: list[int] | None,
+                       id_map: dict[int, int] | None) -> "Graph":
+        """Graph whose edges are the keys of edge_ids, a dict of packed
+        keys to 0, 1, 2, ... in insertion order; it becomes _edge_ids."""
+        keys = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
+        return cls(n, keys >> _SHIFT, keys & _MASK, labels=labels,
+                   id_map=id_map, edge_ids=edge_ids)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a view; do not mutate)."""
@@ -118,15 +132,32 @@ class Graph:
 
     def drop_edges(self, packed_keys: set[int]) -> "Graph":
         """Copy of the graph without the given edges (packed keys)."""
-        # a key is absent when its left and right insertion points agree
-        # (np.isin would do, but its first call imports numpy.ma: +2 MiB)
+        return self.split_edges(packed_keys)[1]
+
+    def split_edges(self, packed_keys: set[int]
+                    ) -> tuple[np.ndarray, "Graph"]:
+        """(dropped, copy): a boolean array over edge ids marking the edges
+        whose packed key is in packed_keys, and the graph without them.
+        Keys of absent pairs are ignored."""
         drop = np.sort(np.fromiter(packed_keys, dtype=np.int64,
                                    count=len(packed_keys)))
         keys = (self._edge_u << _SHIFT) | self._edge_v
-        keep = (np.searchsorted(drop, keys, "left")
-                == np.searchsorted(drop, keys, "right"))
-        return Graph(self.n, self._edge_u[keep], self._edge_v[keep],
-                     labels=self.labels, id_map=self.id_map)
+        dropped = np.zeros(self.m, dtype=bool)
+        if len(drop):
+            # search in key order, which keeps the binary searches
+            # cache-friendly (np.isin would do, but its first call imports
+            # numpy.ma: +2 MiB)
+            order = np.argsort(keys)
+            sorted_keys = keys[order]
+            pos = np.minimum(np.searchsorted(drop, sorted_keys),
+                             len(drop) - 1)
+            dropped[order] = drop[pos] == sorted_keys
+        keep = ~dropped
+        kept = keys[keep]
+        copy = Graph(self.n, self._edge_u[keep], self._edge_v[keep],
+                     labels=self.labels, id_map=self.id_map,
+                     edge_ids=dict(zip(kept.tolist(), range(len(kept)))))
+        return dropped, copy
 
 
 def parse_edge_list(source) -> Graph:
@@ -147,7 +178,8 @@ def parse_edge_list(source) -> Graph:
         lines = source
     id_map: dict[int, int] = {}
     labels: list[int] = []
-    seen: dict[int, None] = {}
+    # packed key -> edge id, in first-appearance order
+    seen: dict[int, int] = {}
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -175,11 +207,9 @@ def parse_edge_list(source) -> Graph:
             labels.append(b)
         if ia == ib:
             continue
-        seen.setdefault(pack_edge(ia, ib), None)
-    m = len(seen)
-    edge_u = np.fromiter((k >> _SHIFT for k in seen), dtype=np.int64, count=m)
-    edge_v = np.fromiter((k & _MASK for k in seen), dtype=np.int64, count=m)
-    return Graph(len(labels), edge_u, edge_v, labels=labels, id_map=id_map)
+        seen.setdefault((ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia,
+                        len(seen))
+    return Graph._from_edge_ids(len(labels), seen, labels, id_map)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -21,6 +21,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from time import perf_counter
 
+import numpy as np
+
 from .graph import Graph, InvariantError
 from .pivoting import Clustering, PivotAudit, PivotStrategy, pivot
 from .stc import DEFAULT_ARC_BUDGET, labeling_from_lp, solve_stc_lp
@@ -63,6 +65,8 @@ class CDResult:
     runtime_ms: dict[str, float | None]
     weak_set: set[int] = field(repr=False, default_factory=set)
     values: list[int] | None = field(repr=False, default=None)
+    # weak_mask[e]: edge e of the input graph is in weak_set
+    weak_mask: np.ndarray | None = field(repr=False, default=None)
 
     def to_json_dict(self) -> dict:
         if self.ratio is None:
@@ -95,6 +99,7 @@ class _Prep:
     algorithm: str
     wedges: int | None
     weak: set[int]
+    weak_mask: np.ndarray
     values: list[int] | None
     lp_half: int | None
     lower_bound_half: int
@@ -113,49 +118,40 @@ def _prepare_mfp(g: Graph, matcher: str = "fast",
         ws = maximal_wedge_set_simple(g)
     else:
         raise ValueError(f"unknown matcher {matcher!r}")
-    ghat = g.drop_edges(ws.weak_edges)
+    weak_mask, ghat = g.split_edges(ws.weak_edges)
     lb_ms = (perf_counter() - t0) * 1000.0
-    return _Prep("mfp", len(ws.wedges), set(ws.weak_edges), None, None,
-                 2 * len(ws.wedges), ghat, lb_ms)
+    return _Prep("mfp", len(ws.wedges), set(ws.weak_edges), weak_mask, None,
+                 None, 2 * len(ws.wedges), ghat, lb_ms)
 
 
 def _prepare_stclp(g: Graph, arc_budget: int = DEFAULT_ARC_BUDGET) -> _Prep:
     t0 = perf_counter()
     sol = solve_stc_lp(g, arc_budget)
     weak = labeling_from_lp(sol)
-    ghat = g.drop_edges(weak)
+    weak_mask, ghat = g.split_edges(weak)
     lb_ms = (perf_counter() - t0) * 1000.0
-    return _Prep("stclp", None, weak, sol.values, sol.objective_half_units,
-                 sol.objective_half_units, ghat, lb_ms)
+    return _Prep("stclp", None, weak, weak_mask, sol.values,
+                 sol.objective_half_units, sol.objective_half_units, ghat,
+                 lb_ms)
 
 
 def _score(g: Graph, prep: _Prep, clustering: Clustering,
            audit: PivotAudit, strategy: PivotStrategy,
            merged: bool, runtime_ms: dict[str, float | None]) -> CDResult:
-    assignment = clustering.assignment
     weak = prep.weak
     values = prep.values
-    deletions = m_w = m_s = 0
+    assignment = np.array(clustering.assignment, dtype=np.int64)
+    cut = assignment[g._edge_u] != assignment[g._edge_v]
+    cut_weak = cut & prep.weak_mask
+    deletions = int(np.count_nonzero(cut))
+    m_w = int(np.count_nonzero(cut_weak))
+    m_s = deletions - m_w
     m_1 = b_half = n_half = 0
-    eu = g._edge_u.tolist()
-    ev = g._edge_v.tolist()
-    for e in range(g.m):
-        u = eu[e]
-        v = ev[e]
-        is_weak = ((u << 32) | v) in weak
-        if assignment[u] != assignment[v]:
-            deletions += 1
-            if is_weak:
-                m_w += 1
-                if values is not None:
-                    if values[e] == 2:
-                        m_1 += 1
-                    else:
-                        b_half += 1
-            else:
-                m_s += 1
-        elif is_weak and values is not None and values[e] == 1:
-            n_half += 1
+    if values is not None:
+        vals = np.array(values, dtype=np.int64)
+        m_1 = int(np.count_nonzero(cut_weak & (vals == 2)))
+        b_half = m_w - m_1
+        n_half = int(np.count_nonzero(prep.weak_mask & ~cut & (vals == 1)))
     # every cluster must be a clique of g
     internal_pairs = sum(len(c) * (len(c) - 1) // 2
                          for c in clustering.clusters)
@@ -186,7 +182,8 @@ def _score(g: Graph, prep: _Prep, clustering: Clustering,
         boundary_edges=audit.boundary_edges,
         internal_nonedges=audit.internal_nonedges,
         clustering=clustering, audit=audit, merged=merged,
-        runtime_ms=runtime_ms, weak_set=weak, values=values)
+        runtime_ms=runtime_ms, weak_set=weak, values=values,
+        weak_mask=prep.weak_mask)
 
 
 def _finish(g: Graph, prep: _Prep, strategy: PivotStrategy) -> CDResult:
@@ -257,14 +254,16 @@ def merge_clusters(g: Graph, clustering: Clustering,
     A cluster that can join cluster a lies wholly inside the neighbourhood
     of any one member of a, and a only grows during its turn.  So a's
     candidates are the clusters owning that member's neighbours, and a
-    pass costs the sum of those degrees plus the clique tests.  Every
-    cluster must be non-empty, as pivot's are.
+    pass costs the sum of those degrees plus the clique tests.  An empty
+    cluster can join any cluster and sorts after every non-empty one, so
+    the first cluster of the first pass absorbs them all.
     """
     clusters = [list(c) for c in clustering.clusters]
     owner = [-1] * g.n
     for c, members in enumerate(clusters):
         for v in members:
             owner[v] = c
+    empties = [c for c, members in enumerate(clusters) if not members]
     dead = [False] * len(clusters)
     position = [0] * len(clusters)
     deadline = (perf_counter() + budget_ms / 1000.0
@@ -285,7 +284,12 @@ def merge_clusters(g: Graph, clustering: Clustering,
             # is the only filter
             later = sorted(p for p in {position[owner[y]] for y in
                                        g.neighbors(clusters[a][0]).tolist()}
-                           if p > ai)
+                           if p > ai) if clusters[a] else []
+            if empties:
+                # only the first turn of the first pass sees the empty
+                # clusters, and it absorbs them all
+                later += [position[c] for c in empties if c != a]
+                empties = []
             for p in later:
                 b = order[p]
                 if deadline is not None and perf_counter() > deadline:
@@ -326,7 +330,7 @@ def apply_merge(g: Graph, result: CDResult,
     merged = merge_clusters(g, result.clustering, max_passes, budget_ms)
     merge_ms = (perf_counter() - t0) * 1000.0
     prep = _Prep(result.algorithm, result.wedges, result.weak_set,
-                 result.values, result.lp_value_half_units,
+                 result.weak_mask, result.values, result.lp_value_half_units,
                  result.lower_bound_half_units, g, 0.0)
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms

@@ -14,6 +14,12 @@ Strategies:
           (lowest id on ties)
   random  pick uniformly among live nodes, seeded
 
+``pivot`` reads the adjacency as Python lists, built once per call, and
+counts the audit while it removes a cluster: every live neighbour a
+member still has is a boundary edge, and every neighbour already
+assigned to the new cluster is an internal edge.  All three strategies
+share that loop and differ only in their selector.
+
 The ratio selector keeps every live node's exact key in a lazy min-heap.
 Removing a cluster changes (|B_k|, |N_k|) only for nodes within distance
 2 of it, so a round re-scores just those nodes: the live neighbours of
@@ -76,77 +82,31 @@ class PivotAudit:
     per_iteration: list[tuple[int, int, int]]  # (pivot, |B_k|, |N_k|)
 
 
-class ResidualGraph:
-    """Live-node view of a graph as clusters get carved away."""
-
-    def __init__(self, g: Graph):
-        self.g = g
-        self.alive = bytearray(b"\x01") * g.n
-        self.live_deg = [g.degree(v) for v in range(g.n)]
-        self.live_count = g.n
-
-    def live_neighbors(self, v: int) -> list[int]:
-        alive = self.alive
-        return [u for u in self.g.neighbors(v).tolist() if alive[u]]
-
-    def remove_cluster(self, members: list[int]) -> list[int]:
-        """Remove the members; returns outside nodes whose degree dropped."""
-        alive = self.alive
-        deg = self.live_deg
-        for u in members:
-            alive[u] = 0
-        self.live_count -= len(members)
-        touched = []
-        for u in members:
-            for w in self.g.neighbors(u).tolist():
-                if alive[w]:
-                    deg[w] -= 1
-                    touched.append(w)
-        return touched
-
-
-def boundary_and_nonedge_counts(state: ResidualGraph, k: int) -> tuple[int, int]:
-    """(|B_k|, |N_k|) for pivoting at k in the current residual graph."""
-    g = state.g
-    alive = state.alive
-    members = state.live_neighbors(k)
-    inside = set(members)
-    boundary = 0
-    adjacent_inside_twice = 0
-    for u in members:
-        for w in g.neighbors(u).tolist():
-            if not alive[w] or w == k:
-                continue
-            if w in inside:
-                adjacent_inside_twice += 1
-            else:
-                boundary += 1
-    d = len(members)
-    nonedges = d * (d - 1) // 2 - adjacent_inside_twice // 2
-    return boundary, nonedges
-
-
 class _DegreeSelector:
     """Lazy max-heap keyed (live degree, id); entries go stale as degrees
     drop and are discarded at pop time."""
 
-    def __init__(self, state: ResidualGraph):
-        self.state = state
-        self.heap = [(-state.live_deg[v], v) for v in range(state.g.n)]
+    def __init__(self, alive: bytearray, live_deg: list[int]):
+        self.alive = alive
+        self.live_deg = live_deg
+        self.heap = [(-d, v) for v, d in enumerate(live_deg)]
         heapq.heapify(self.heap)
 
     def pop(self) -> int:
-        state = self.state
+        alive = self.alive
+        live_deg = self.live_deg
+        heap = self.heap
         while True:
-            d, v = self.heap[0]
-            if state.alive[v] and state.live_deg[v] == -d:
+            d, v = heap[0]
+            if alive[v] and live_deg[v] == -d:
                 return v
-            heapq.heappop(self.heap)
+            heapq.heappop(heap)
 
     def degrees_changed(self, touched: list[int]) -> None:
-        state = self.state
+        live_deg = self.live_deg
+        heap = self.heap
         for w in touched:
-            heapq.heappush(self.heap, (-state.live_deg[w], w))
+            heapq.heappush(heap, (-live_deg[w], w))
 
 
 class _RatioKey:
@@ -181,18 +141,34 @@ class _RatioSelector:
     """Lazy min-heap of ratio keys; a re-scored or removed node's older
     entries go stale and are discarded at pop time."""
 
-    def __init__(self, state: ResidualGraph):
-        self.state = state
-        self.key = [self._score(v) for v in range(state.g.n)]
+    def __init__(self, adj: list[list[int]], alive: bytearray):
+        self.adj = adj
+        self.alive = alive
+        self.key = [self._score(v) for v in range(len(adj))]
         self.heap = list(self.key)
         heapq.heapify(self.heap)
 
-    def _score(self, v: int) -> _RatioKey:
-        b, nn = boundary_and_nonedge_counts(self.state, v)
-        return _RatioKey(b, nn, v)
+    def _score(self, k: int) -> _RatioKey:
+        """Key of pivoting at k: (|B_k|, |N_k|) in the live graph."""
+        adj = self.adj
+        alive = self.alive
+        members = [u for u in adj[k] if alive[u]]
+        inside = set(members)
+        boundary = adjacent_inside_twice = 0
+        for u in members:
+            for w in adj[u]:
+                if not alive[w] or w == k:
+                    continue
+                if w in inside:
+                    adjacent_inside_twice += 1
+                else:
+                    boundary += 1
+        d = len(members)
+        return _RatioKey(boundary,
+                         d * (d - 1) // 2 - adjacent_inside_twice // 2, k)
 
     def pop(self) -> int:
-        alive = self.state.alive
+        alive = self.alive
         key = self.key
         heap = self.heap
         while True:
@@ -202,11 +178,12 @@ class _RatioSelector:
             heapq.heappop(heap)
 
     def degrees_changed(self, touched: list[int]) -> None:
-        state = self.state
+        adj = self.adj
+        alive = self.alive
         near = set(touched)
         dirty = set(near)
         for w in near:
-            dirty.update(state.live_neighbors(w))
+            dirty.update(u for u in adj[w] if alive[u])
         for v in dirty:
             k = self._score(v)
             self.key[v] = k
@@ -214,17 +191,19 @@ class _RatioSelector:
 
 
 class _RandomSelector:
-    def __init__(self, state: ResidualGraph, seed: int):
-        self.state = state
+    def __init__(self, alive: bytearray, seed: int):
+        self.alive = alive
         self.rng = random.Random(seed)
-        self.live = list(range(state.g.n))
+        self.live = list(range(len(alive)))
 
     def pop(self) -> int:
         live = self.live
+        alive = self.alive
+        randrange = self.rng.randrange
         while True:
-            idx = self.rng.randrange(len(live))
+            idx = randrange(len(live))
             v = live[idx]
-            if self.state.alive[v]:
+            if alive[v]:
                 return v
             # compact: drop dead nodes as we stumble on them
             last = live.pop()
@@ -237,31 +216,53 @@ class _RandomSelector:
 
 def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
     """Cluster g by repeated pivoting; returns the clustering and audit."""
-    state = ResidualGraph(g)
+    n = g.n
+    indptr = g._indptr.tolist()
+    flat = g._nbrs.tolist()
+    adj = [flat[indptr[v]:indptr[v + 1]] for v in range(n)]
+    del flat
+    alive = bytearray(b"\x01") * n
+    live_deg = [len(a) for a in adj]
     if strategy.kind == "degree":
-        selector = _DegreeSelector(state)
+        selector = _DegreeSelector(alive, live_deg)
     elif strategy.kind == "ratio":
-        selector = _RatioSelector(state)
+        selector = _RatioSelector(adj, alive)
     else:
-        selector = _RandomSelector(state, strategy.seed)
-    assignment = [-1] * g.n
+        selector = _RandomSelector(alive, strategy.seed)
+    assignment = [-1] * n
     clusters: list[list[int]] = []
     per_iteration: list[tuple[int, int, int]] = []
     total_b = 0
     total_n = 0
-    while state.live_count:
+    left = n
+    while left:
         k = selector.pop()
-        members = state.live_neighbors(k)
-        b, nn = boundary_and_nonedge_counts(state, k)
+        members = [u for u in adj[k] if alive[u]]
         cluster = sorted(members + [k])
         cid = len(clusters)
         for v in cluster:
+            alive[v] = 0
             assignment[v] = cid
+        # k's neighbours are all in the cluster, so only the members can
+        # have live neighbours.  inside counts each edge between members
+        # twice and each member's edge to k once.
+        touched = []
+        inside = 0
+        for u in members:
+            for w in adj[u]:
+                if alive[w]:
+                    live_deg[w] -= 1
+                    touched.append(w)
+                elif assignment[w] == cid:
+                    inside += 1
+        d = len(members)
+        b = len(touched)
+        nn = d * (d - 1) // 2 - (inside - d) // 2
         clusters.append(cluster)
         per_iteration.append((k, b, nn))
         total_b += b
         total_n += nn
-        touched = state.remove_cluster(cluster)
+        left -= len(cluster)
         selector.degrees_changed(touched)
     return Clustering(assignment, clusters), PivotAudit(total_b, total_n,
                                                         per_iteration)

@@ -5,12 +5,17 @@ an edge: a simple greedy over the full wedge enumeration, and a faster
 skip-list sweep that touches each neighbor pair at most once per center.
 The two edges of every matched wedge form the weak set E_W; maximality
 means every open wedge of the graph loses at least one edge to E_W.
+
+The fast matcher is the pipelines' hot loop, so its skip list lives in
+local variables and it tests closure by looking the packed pair up in
+the graph's edge-id dict directly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from bisect import bisect_left
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .graph import Graph, enumerate_open_wedges, pack_edge, unpack_edge
 
@@ -34,58 +39,6 @@ class WedgeSet:
     @property
     def weak_count(self) -> int:
         return len(self.weak_edges)
-
-    def iter_weak_pairs(self) -> Iterator[tuple[int, int]]:
-        for key in self.weak_edges:
-            yield unpack_edge(key)
-
-
-class FastMatchCursor:
-    """Skip-list cursor over one center's array of live neighbors.
-
-    ``next_idx[t]`` is the index after position t (NIL past the end);
-    positions i < j hold the pair under inspection and ``j_prev`` satisfies
-    next_idx[j_prev] == j.  ``advance_keep`` steps past an adjacent pair;
-    ``advance_drop`` splices out position j and moves i, consuming both
-    edges of a matched wedge.
-    """
-
-    NIL = -1
-
-    def __init__(self, items: list[int]):
-        if len(items) < 2:
-            raise ValueError("cursor needs at least two items")
-        self.items = items
-        self.next_idx = list(range(1, len(items))) + [self.NIL]
-        self.i = 0
-        self.j = 1
-        self.j_prev = 0
-        self.finished = False
-
-    def pair(self) -> tuple[int, int]:
-        return self.items[self.i], self.items[self.j]
-
-    def advance_keep(self) -> None:
-        nxt = self.next_idx
-        if nxt[self.j] != self.NIL:
-            self.j_prev = self.j
-            self.j = nxt[self.j]
-        elif nxt[self.i] != self.j:
-            self.i = nxt[self.i]
-            self.j = nxt[self.i]
-            self.j_prev = self.i
-        else:
-            self.finished = True
-
-    def advance_drop(self) -> None:
-        nxt = self.next_idx
-        nxt[self.j_prev] = nxt[self.j]
-        self.i = nxt[self.i]
-        if self.i == self.NIL or nxt[self.i] == self.NIL:
-            self.finished = True
-        else:
-            self.j = nxt[self.i]
-            self.j_prev = self.i
 
 
 def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
@@ -114,6 +67,15 @@ def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
 def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     """Skip-list matcher: per center, sweep live-neighbor pairs once.
 
+    Centers go in id order.  A center's live neighbors are those whose
+    edge to it is not yet weak; only a lower-id neighbor's edge can be,
+    as only its two ends make an edge weak.  The sweep takes each live
+    neighbor u still in the list, in id order, and pairs it with the
+    first later one w that is not adjacent to u; the open wedge
+    (u, w, center) is matched, and w leaves the list.  nxt[t] is the next
+    position still in the list (-1 past the end), so the sweep never
+    revisits a removed position.
+
     Every inspection either matches a wedge (at most m/2 overall, the pair
     leaves the sweep) or certifies a triangle (each triangle inspected at
     most once per corner), so inspections are O(min(m^1.5, m + T)).
@@ -121,29 +83,49 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     weak: set[int] = set()
     wedges: list[OpenWedge] = []
     inspections = 0
-    indptr = g._indptr
+    indptr = g._indptr.tolist()
     nbrs = g._nbrs
+    edge_ids = g._edge_ids
     for v in range(g.n):
         lo = indptr[v]
         hi = indptr[v + 1]
         if hi - lo < 2:
             continue
-        vbase = v << 32
-        live = [u for u in nbrs[lo:hi].tolist()
-                if ((vbase | u) if v < u else ((u << 32) | v)) not in weak]
-        if len(live) < 2:
+        live = nbrs[lo:hi].tolist()
+        p = bisect_left(live, v)
+        if p:
+            live = ([u for u in live[:p] if ((u << 32) | v) not in weak]
+                    + live[p:])
+        d = len(live)
+        if d < 2:
             continue
-        cur = FastMatchCursor(live)
-        while not cur.finished:
-            u, w = cur.pair()
-            inspections += 1
-            if g.has_edge(u, w):
-                cur.advance_keep()
-            else:
-                weak.add(pack_edge(v, u))
-                weak.add(pack_edge(v, w))
-                wedges.append(OpenWedge(u, w, v))
-                cur.advance_drop()
+        vbase = v << 32
+        nxt = list(range(1, d + 1))
+        nxt[-1] = -1
+        i = 0
+        while True:
+            u = live[i]
+            ubase = u << 32
+            jp = i
+            j = nxt[i]
+            if j < 0:
+                break
+            while True:
+                inspections += 1
+                w = live[j]
+                if (ubase | w) not in edge_ids:  # live is sorted: u < w
+                    weak.add((vbase | u) if v < u else (ubase | v))
+                    weak.add((vbase | w) if v < w else ((w << 32) | v))
+                    wedges.append(OpenWedge(u, w, v))
+                    nxt[jp] = nxt[j]
+                    break
+                jp = j
+                j = nxt[j]
+                if j < 0:
+                    break
+            i = nxt[i]
+            if i < 0:
+                break
     return WedgeSet(wedges, weak, inspections)
 
 
@@ -174,7 +156,3 @@ def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
     if violations:
         raise ValueError(f"wedge set not maximal: {violations[0]} untouched")
 
-
-def wedge_set_lines(ws: WedgeSet) -> list[str]:
-    """Debug dump, one 'i j k' line per wedge."""
-    return [f"{w.i} {w.j} {w.k}" for w in ws.wedges]

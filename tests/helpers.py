@@ -2,9 +2,11 @@
 
 Everything here is written for clarity, not speed: dense-matrix
 Edmonds-Karp, cubic wedge enumeration, Bell-number partition search, the
-relaxation's cut network as an explicit arc list, the ratio pivot as a
-full scan per round, and cluster merging over all pairs.  None of it
-shares code with src/.
+relaxation's cut network as an explicit arc list, the wedge matcher driven
+by a skip-list cursor object, pivoting on a residual-graph object with
+the audit counted apart from the removal, the ratio pivot as a full scan
+per round, cluster merging over all pairs, and scoring by an edge loop.
+None of it shares code with src/.
 """
 from __future__ import annotations
 
@@ -12,9 +14,9 @@ import random
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
+from typing import Iterator, Sequence
 
-from clusterdel import Graph, HalfIntegralSolution, er_graph
+from clusterdel import Graph, HalfIntegralSolution, WedgeSet, er_graph
 
 
 def edmonds_karp(num_nodes: int, source: int, sink: int,
@@ -299,3 +301,229 @@ def solution_lines(sol: HalfIntegralSolution) -> list[str]:
     g = sol.graph
     return [f"{g.label_of(u)} {g.label_of(v)} {sol.values[e]}"
             for e, (u, v) in enumerate(g.edges())]
+
+
+def iter_weak_pairs(ws: WedgeSet) -> Iterator[tuple[int, int]]:
+    """The weak edges of ws as (u, v) pairs with u < v."""
+    for key in ws.weak_edges:
+        yield key >> 32, key & 0xFFFFFFFF
+
+
+def wedge_set_lines(ws: WedgeSet) -> list[str]:
+    """Debug dump, one 'i j k' line per wedge."""
+    return [f"{w.i} {w.j} {w.k}" for w in ws.wedges]
+
+
+class FastMatchCursor:
+    """Skip-list cursor over one center's array of live neighbors.
+
+    ``next_idx[t]`` is the index after position t (NIL past the end);
+    positions i < j hold the pair under inspection and ``j_prev`` satisfies
+    next_idx[j_prev] == j.  ``advance_keep`` steps past an adjacent pair;
+    ``advance_drop`` splices out position j and moves i, consuming both
+    edges of a matched wedge.
+    """
+
+    NIL = -1
+
+    def __init__(self, items: list[int]):
+        if len(items) < 2:
+            raise ValueError("cursor needs at least two items")
+        self.items = items
+        self.next_idx = list(range(1, len(items))) + [self.NIL]
+        self.i = 0
+        self.j = 1
+        self.j_prev = 0
+        self.finished = False
+
+    def pair(self) -> tuple[int, int]:
+        return self.items[self.i], self.items[self.j]
+
+    def advance_keep(self) -> None:
+        nxt = self.next_idx
+        if nxt[self.j] != self.NIL:
+            self.j_prev = self.j
+            self.j = nxt[self.j]
+        elif nxt[self.i] != self.j:
+            self.i = nxt[self.i]
+            self.j = nxt[self.i]
+            self.j_prev = self.i
+        else:
+            self.finished = True
+
+    def advance_drop(self) -> None:
+        nxt = self.next_idx
+        nxt[self.j_prev] = nxt[self.j]
+        self.i = nxt[self.i]
+        if self.i == self.NIL or nxt[self.i] == self.NIL:
+            self.finished = True
+        else:
+            self.j = nxt[self.i]
+            self.j_prev = self.i
+
+
+def maximal_wedge_set_by_cursor(g: Graph) -> tuple[
+        list[tuple[int, int, int]], set[int], int]:
+    """The fast matcher's sweep, driven by FastMatchCursor.
+
+    Per center v in id order, the live neighbors (edge to v not yet weak)
+    are swept pair by pair; an open pair (u, w) becomes wedge (u, w, v)
+    and both its edges turn weak.  Returns (wedges, weak keys,
+    inspections)."""
+
+    def key(a: int, b: int) -> int:
+        return (a << 32) | b if a < b else (b << 32) | a
+
+    weak: set[int] = set()
+    wedges: list[tuple[int, int, int]] = []
+    inspections = 0
+    for v in range(g.n):
+        live = [u for u in g.neighbors(v).tolist() if key(u, v) not in weak]
+        if len(live) < 2:
+            continue
+        cur = FastMatchCursor(live)
+        while not cur.finished:
+            u, w = cur.pair()
+            inspections += 1
+            if g.has_edge(u, w):
+                cur.advance_keep()
+            else:
+                weak.add(key(v, u))
+                weak.add(key(v, w))
+                wedges.append((u, w, v))
+                cur.advance_drop()
+    return wedges, weak, inspections
+
+
+class ResidualGraph:
+    """Live-node view of a graph as clusters get carved away."""
+
+    def __init__(self, g: Graph):
+        self.g = g
+        self.alive = bytearray(b"\x01") * g.n
+        self.live_deg = [g.degree(v) for v in range(g.n)]
+        self.live_count = g.n
+
+    def live_neighbors(self, v: int) -> list[int]:
+        alive = self.alive
+        return [u for u in self.g.neighbors(v).tolist() if alive[u]]
+
+    def remove_cluster(self, members: list[int]) -> list[int]:
+        """Remove the members; returns outside nodes whose degree dropped."""
+        alive = self.alive
+        deg = self.live_deg
+        for u in members:
+            alive[u] = 0
+        self.live_count -= len(members)
+        touched = []
+        for u in members:
+            for w in self.g.neighbors(u).tolist():
+                if alive[w]:
+                    deg[w] -= 1
+                    touched.append(w)
+        return touched
+
+
+def boundary_and_nonedge_counts(state: ResidualGraph, k: int
+                                ) -> tuple[int, int]:
+    """(|B_k|, |N_k|) for pivoting at k in the current residual graph."""
+    g = state.g
+    alive = state.alive
+    members = state.live_neighbors(k)
+    inside = set(members)
+    boundary = 0
+    adjacent_inside_twice = 0
+    for u in members:
+        for w in g.neighbors(u).tolist():
+            if not alive[w] or w == k:
+                continue
+            if w in inside:
+                adjacent_inside_twice += 1
+            else:
+                boundary += 1
+    d = len(members)
+    nonedges = d * (d - 1) // 2 - adjacent_inside_twice // 2
+    return boundary, nonedges
+
+
+def pivot_by_residual_graph(g: Graph, kind: str, seed: int | None = None
+                            ) -> tuple[list[int], list[list[int]],
+                                       list[tuple[int, int, int]]]:
+    """Pivot g on a ResidualGraph, counting each round's audit before the
+    cluster is removed.
+
+    The pivot is chosen by a scan of the live nodes: the highest live
+    degree for "degree", the least exact (class, |B|/|N|) key for
+    "ratio", lowest id on ties; "random" draws positions from a list of
+    candidates seeded with ``seed``, dropping a dead candidate where a
+    draw lands on it.  Returns (assignment, clusters, per_iteration) in
+    the shapes of Clustering and PivotAudit."""
+    state = ResidualGraph(g)
+    rng = random.Random(seed)
+    candidates = list(range(g.n))
+
+    def ratio_key(v: int) -> tuple[int, Fraction]:
+        b, nn = boundary_and_nonedge_counts(state, v)
+        return (0, Fraction(b, nn)) if nn else (1 if b else 0, Fraction(0))
+
+    def select() -> int:
+        live = [v for v in range(g.n) if state.alive[v]]
+        if kind == "degree":
+            return min(live, key=lambda v: (-state.live_deg[v], v))
+        if kind == "ratio":
+            return min(live, key=lambda v: (ratio_key(v), v))
+        while True:
+            idx = rng.randrange(len(candidates))
+            v = candidates[idx]
+            if state.alive[v]:
+                return v
+            last = candidates.pop()
+            if idx < len(candidates):
+                candidates[idx] = last
+
+    assignment = [-1] * g.n
+    clusters: list[list[int]] = []
+    per_iteration: list[tuple[int, int, int]] = []
+    while state.live_count:
+        k = select()
+        members = state.live_neighbors(k)
+        b, nn = boundary_and_nonedge_counts(state, k)
+        cluster = sorted(members + [k])
+        for v in cluster:
+            assignment[v] = len(clusters)
+        clusters.append(cluster)
+        per_iteration.append((k, b, nn))
+        state.remove_cluster(cluster)
+    return assignment, clusters, per_iteration
+
+
+def score_by_edge_loop(g: Graph, assignment: Sequence[int], weak: set[int],
+                       values: Sequence[int] | None,
+                       lower_bound_half: int) -> dict:
+    """The scored fields of CDResult.to_json_dict, by one loop over the
+    edges: deletions, the weak/strong split of the cut edges, the split
+    by relaxation value (None without values), and the ratio."""
+    deletions = m_w = m_s = m_1 = b_half = n_half = 0
+    for e, (u, v) in enumerate(g.edges()):
+        is_weak = ((u << 32) | v) in weak
+        if assignment[u] != assignment[v]:
+            deletions += 1
+            if is_weak:
+                m_w += 1
+                if values is not None:
+                    if values[e] == 2:
+                        m_1 += 1
+                    else:
+                        b_half += 1
+            else:
+                m_s += 1
+        elif is_weak and values is not None and values[e] == 1:
+            n_half += 1
+    ratio = None
+    if lower_bound_half > 0:
+        r = Fraction(2 * deletions, lower_bound_half)
+        ratio = {"num": r.numerator, "den": r.denominator, "float": float(r)}
+    lp = values is not None
+    return {"deletions": deletions, "m_W": m_w, "m_S": m_s,
+            "m_1": m_1 if lp else None, "b_half": b_half if lp else None,
+            "n_half": n_half if lp else None, "ratio": ratio}

@@ -1,9 +1,15 @@
-"""The incremental ratio selector and the neighbourhood-driven merge
-against their full-scan references in helpers.
+"""The fast paths against their references in helpers.
 
-Both must give exactly what the references give: the same per-round
-audit, clusters and assignment for the ratio pivot, and the same merged
-clusters and assignment for one, two or unlimited merge passes.
+Each must give exactly what its reference gives:
+- the matcher: the wedges, weak set and inspection count of the sweep
+  driven by the skip-list cursor object;
+- pivot: the per-round audit, clusters and assignment of pivoting on a
+  residual-graph object, for every strategy, and of the ratio pivot by a
+  full scan per round;
+- the neighbourhood-driven merge: the merged clusters and assignment of
+  the pairwise scan, for one, two or unlimited passes;
+- scoring: every stats field apart from runtime_ms, as an edge loop
+  computes it, for both pipelines, merged and unmerged.
 """
 from __future__ import annotations
 
@@ -11,11 +17,37 @@ import random
 
 import pytest
 
-from clusterdel import (Graph, PivotStrategy, maximal_wedge_set_fast,
-                        merge_clusters, pivot)
-from helpers import (merge_clusters_pairwise, planted_clusters,
-                     ratio_pivot_by_full_scan)
+from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
+                        match_flip_pivot, maximal_wedge_set_fast,
+                        merge_clusters, pivot, stc_lp_round)
+from helpers import (maximal_wedge_set_by_cursor, merge_clusters_pairwise,
+                     pivot_by_residual_graph, planted_clusters,
+                     ratio_pivot_by_full_scan, score_by_edge_loop)
 from test_acceptance import corpus
+
+STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
+              + [PivotStrategy.random(seed) for seed in range(8)])
+
+
+def assert_same_matching(g: Graph) -> None:
+    ws = maximal_wedge_set_fast(g)
+    wedges, weak, inspections = maximal_wedge_set_by_cursor(g)
+    assert ws.wedges == wedges
+    assert ws.weak_edges == weak
+    assert ws.inspections == inspections
+
+
+def assert_same_pivots(g: Graph) -> None:
+    for strategy in STRATEGIES:
+        clustering, audit = pivot(g, strategy)
+        assignment, clusters, per_iteration = pivot_by_residual_graph(
+            g, strategy.kind, strategy.seed)
+        assert audit.per_iteration == per_iteration
+        assert clustering.clusters == clusters
+        assert clustering.assignment == assignment
+        assert audit.boundary_edges == sum(b for _, b, _ in per_iteration)
+        assert audit.internal_nonedges == sum(nn for _, _, nn in
+                                              per_iteration)
 
 
 def assert_same_ratio_pivot(g: Graph) -> None:
@@ -39,13 +71,33 @@ def assert_same_merges(g: Graph, ghat: Graph) -> None:
             assert merged.assignment == assignment
 
 
+def assert_same_scores(g: Graph) -> None:
+    for strategy in (PivotStrategy.degree(), PivotStrategy.random(5)):
+        for res in (match_flip_pivot(g, strategy),
+                    stc_lp_round(g, strategy)):
+            for scored in (res, apply_merge(g, res)):
+                got = scored.to_json_dict()
+                del got["runtime_ms"]
+                want = dict(got)
+                want.update(score_by_edge_loop(
+                    g, scored.clustering.assignment, scored.weak_set,
+                    scored.values, scored.lower_bound_half_units))
+                want["clusters"] = len(scored.clustering.clusters)
+                assert got == want
+
+
 def assert_same_as_references(g: Graph) -> None:
     # as in the mfp pipeline: pivot the stripped graph, merge on g
     ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
+    assert_same_matching(g)
+    assert_same_matching(ghat)
+    assert_same_pivots(g)
+    assert_same_pivots(ghat)
     assert_same_ratio_pivot(g)
     assert_same_ratio_pivot(ghat)
     assert_same_merges(g, ghat)
     assert_same_merges(g, g)
+    assert_same_scores(g)
 
 
 def test_acceptance_corpus():
@@ -84,3 +136,29 @@ def test_hub_touching_every_clique():
 def test_star():
     g = Graph.from_edges(40, [(0, v) for v in range(1, 40)])
     assert_same_as_references(g)
+
+
+@pytest.mark.parametrize("clusters", [
+    [[0, 1], [], [2, 3]],
+    [[], [0, 1], [], [2, 3], []],
+    [[0], [1], [], [2], [3]],
+    [[], []],
+])
+def test_merge_with_empty_clusters(clusters):
+    # every empty cluster merges into the first cluster of the first pass
+    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+    assignment = [-1] * 4
+    for cid, members in enumerate(clusters):
+        for v in members:
+            assignment[v] = cid
+    if not any(clusters):
+        g = Graph.from_edges(0, [])
+        assignment = []
+    for passes in (None, 0, 1, 2):
+        merged = merge_clusters(g, Clustering(assignment, clusters), passes)
+        want_assignment, want_clusters = merge_clusters_pairwise(
+            g, clusters, passes)
+        assert merged.clusters == want_clusters
+        assert merged.assignment == want_assignment
+        if passes != 0:
+            assert [] not in merged.clusters or merged.clusters == [[]]

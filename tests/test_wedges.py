@@ -14,8 +14,8 @@ from clusterdel import (
     pack_edge,
     verify_wedge_set,
 )
-from clusterdel.wedges import FastMatchCursor, wedge_set_lines
-from helpers import disjoint_paths, triangle_count
+from helpers import (FastMatchCursor, disjoint_paths, iter_weak_pairs,
+                     triangle_count, wedge_set_lines)
 
 
 def sweep(items: list[int], drops: set[tuple[int, int]]) -> list[tuple[int, int]]:
@@ -124,7 +124,7 @@ def test_fast_matcher_inspection_bound(seed):
 def test_iter_weak_pairs_unpacks():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     ws = maximal_wedge_set_fast(g)
-    assert sorted(ws.iter_weak_pairs()) == [(0, 1), (1, 2)]
+    assert sorted(iter_weak_pairs(ws)) == [(0, 1), (1, 2)]
 
 
 def test_verify_rejects_missing_leg():
