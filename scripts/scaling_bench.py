@@ -26,7 +26,6 @@ from time import perf_counter
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from clusterdel import (  # noqa: E402
-    enumerate_open_wedges,
     PivotStrategy,
     er_graph,
     match_flip_pivot,
@@ -63,11 +62,22 @@ def bench_matcher(n: int, p: float, seed: int) -> None:
     print(f"matcher,{g.n},{g.m},{len(ws.wedges)},{elapsed:.3f},{delta:.0f}")
 
 
+def open_wedges(g) -> int:
+    """Number of open wedges: pairs of a node's neighbours that are not
+    adjacent."""
+    count = 0
+    for k in range(g.n):
+        nbrs = g.neighbors(k).tolist()
+        for i, a in enumerate(nbrs):
+            count += sum(not g.has_edge(a, b) for b in nbrs[i + 1:])
+    return count
+
+
 def bench_lp(n: int, p: float, seed: int) -> None:
     gc.collect()
     before = rss_bytes()
     g = er_graph(n, p, seed=seed)
-    size = g.m + enumerate_open_wedges(g)
+    size = g.m + open_wedges(g)
     t0 = perf_counter()
     sol = solve_stc_lp(g)
     elapsed = perf_counter() - t0

@@ -30,7 +30,7 @@ from .pipelines import (apply_merge, best_of_random, match_flip_pivot,
                         stc_lp_round)
 from .pivoting import PivotStrategy, clustering_lines
 from .stc import DEFAULT_ARC_BUDGET, ArcBudgetError, solve_stc_lp
-from .wedges import maximal_wedge_set_fast, maximal_wedge_set_simple
+from .wedges import maximal_wedge_set_fast
 
 
 class _Parser(argparse.ArgumentParser):
@@ -52,8 +52,6 @@ def _build_parser() -> _Parser:
     run.add_argument("--algo", choices=("mfp", "stclp"), default="mfp")
     run.add_argument("--strategy", choices=("degree", "ratio", "random"),
                      default="degree")
-    run.add_argument("--matcher", choices=("simple", "fast"), default=None,
-                     help="wedge matcher for mfp (default fast)")
     run.add_argument("--trials", type=int, default=1,
                      help="random-strategy restarts (seeds seed..seed+T-1)")
     run.add_argument("--seed", type=int, default=None,
@@ -69,7 +67,6 @@ def _build_parser() -> _Parser:
 
     lb = sub.add_parser("lb", help="report lower bounds only")
     lb.add_argument("--in", dest="infile", required=True)
-    lb.add_argument("--matcher", choices=("simple", "fast"), default="fast")
     lb.add_argument("--lp-arc-budget", type=int, default=DEFAULT_ARC_BUDGET)
 
     gen = sub.add_parser("gen", help="generate instances")
@@ -101,11 +98,8 @@ def _cmd_run(args) -> int:
         return _fail("--trials needs --strategy random", 3)
     if args.seed is not None and args.strategy != "random":
         return _fail("--seed only applies to --strategy random", 3)
-    if args.matcher is not None and args.algo == "stclp":
-        return _fail("--matcher only applies to --algo mfp", 3)
     if args.merge_budget_ms is not None and not args.merge:
         return _fail("--merge-budget-ms needs --merge", 3)
-    matcher = args.matcher or "fast"
     try:
         g = _load_graph(args.infile)
     except EdgeListParseError as exc:
@@ -120,9 +114,9 @@ def _cmd_run(args) -> int:
         if args.trials > 1:
             result, summary = best_of_random(
                 g, args.trials, base_seed=strategy.seed, algorithm=args.algo,
-                matcher=matcher, arc_budget=args.lp_arc_budget)
+                arc_budget=args.lp_arc_budget)
         elif args.algo == "mfp":
-            result = match_flip_pivot(g, strategy, matcher=matcher)
+            result = match_flip_pivot(g, strategy)
         else:
             result = stc_lp_round(g, strategy,
                                   arc_budget=args.lp_arc_budget)
@@ -158,9 +152,7 @@ def _cmd_lb(args) -> int:
         return _fail(str(exc), 1)
     except OSError as exc:
         return _fail(str(exc), 1)
-    matcher = (maximal_wedge_set_fast if args.matcher == "fast"
-               else maximal_wedge_set_simple)
-    ws = matcher(g)
+    ws = maximal_wedge_set_fast(g)
     print(f"wedges={len(ws.wedges)}")
     print(f"weak_edges={ws.weak_count}")
     try:

@@ -5,12 +5,13 @@ from explicit edge iterables.  Node labels are compacted to dense internal
 ids in first-appearance order; original labels are kept so clusterings can
 be written back in terms of the input file.  Edges get dense ids 0..m-1 in
 first-appearance order, which the LP machinery uses to index per-edge
-values.
+values, and are keyed by their packed endpoint pair, which the wedge
+matcher and ``has_edge`` look up.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -42,16 +43,16 @@ class InvariantError(RuntimeError):
 class Graph:
     """Immutable undirected simple graph with sorted CSR adjacency.
 
-    ``labels`` maps internal id -> original label and ``id_map`` the other
-    way; both are None for graphs whose nodes are already dense ints.
+    ``labels`` maps internal id -> original label, and the ``id_map``
+    property inverts it; both are None for graphs whose nodes are already
+    dense ints.
     """
 
-    __slots__ = ("n", "m", "labels", "id_map", "_indptr", "_nbrs",
-                 "_edge_u", "_edge_v", "_edge_ids")
+    __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_edge_u",
+                 "_edge_v", "_edge_ids")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None,
-                 id_map: dict[int, int] | None = None,
                  edge_ids: dict[int, int] | None = None):
         # edge_u/edge_v must already be canonical (u < v), deduplicated,
         # self-loop free, in edge-id order.  Use from_edges/parse_edge_list.
@@ -60,7 +61,6 @@ class Graph:
         self.n = n
         self.m = int(len(edge_u))
         self.labels = labels
-        self.id_map = id_map
         self._edge_u = edge_u
         self._edge_v = edge_v
         self._indptr = np.zeros(n + 1, dtype=np.int64)
@@ -80,10 +80,16 @@ class Graph:
             edge_ids = dict(zip(packed, range(len(packed))))
         self._edge_ids = edge_ids
 
+    @property
+    def id_map(self) -> dict[int, int] | None:
+        """Original label -> internal id, derived from ``labels``."""
+        if self.labels is None:
+            return None
+        return {label: v for v, label in enumerate(self.labels)}
+
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   labels: list[int] | None = None,
-                   id_map: dict[int, int] | None = None) -> "Graph":
+                   labels: list[int] | None = None) -> "Graph":
         """Build a graph on nodes 0..n-1; drops self-loops and duplicates."""
         seen: dict[int, int] = {}
         for u, v in edges:
@@ -92,17 +98,16 @@ class Graph:
             if u == v:
                 continue
             seen.setdefault(pack_edge(u, v), len(seen))
-        return cls._from_edge_ids(n, seen, labels, id_map)
+        return cls._from_edge_ids(n, seen, labels)
 
     @classmethod
     def _from_edge_ids(cls, n: int, edge_ids: dict[int, int],
-                       labels: list[int] | None,
-                       id_map: dict[int, int] | None) -> "Graph":
+                       labels: list[int] | None) -> "Graph":
         """Graph whose edges are the keys of edge_ids, a dict of packed
         keys to 0, 1, 2, ... in insertion order; it becomes _edge_ids."""
         keys = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
         return cls(n, keys >> _SHIFT, keys & _MASK, labels=labels,
-                   id_map=id_map, edge_ids=edge_ids)
+                   edge_ids=edge_ids)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a view; do not mutate)."""
@@ -155,7 +160,7 @@ class Graph:
         keep = ~dropped
         kept = keys[keep]
         copy = Graph(self.n, self._edge_u[keep], self._edge_v[keep],
-                     labels=self.labels, id_map=self.id_map,
+                     labels=self.labels,
                      edge_ids=dict(zip(kept.tolist(), range(len(kept)))))
         return dropped, copy
 
@@ -209,7 +214,7 @@ def parse_edge_list(source) -> Graph:
             continue
         seen.setdefault((ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia,
                         len(seen))
-    return Graph._from_edge_ids(len(labels), seen, labels, id_map)
+    return Graph._from_edge_ids(len(labels), seen, labels)
 
 
 def serialize_edge_list(g: Graph) -> str:
@@ -226,35 +231,3 @@ def serialize_edge_list(g: Graph) -> str:
     for u, v in g.edges():
         out.append(f"{g.label_of(u)} {g.label_of(v)}")
     return "\n".join(out) + ("\n" if out else "")
-
-
-def enumerate_open_wedges(g: Graph,
-                          sink: Callable[[int, int, int], None] | None = None
-                          ) -> int:
-    """Stream every open wedge of g; return the count.
-
-    A wedge is reported in canonical form (i, j, k) with i < j, where
-    (i, k) and (j, k) are edges and (i, j) is not.  Wedges are grouped by
-    center k.  ``sink`` receives each wedge; pass None to just count.
-    """
-    count = 0
-    indptr = g._indptr
-    nbrs = g._nbrs
-    eset = g._edge_ids
-    for k in range(g.n):
-        lo = indptr[k]
-        hi = indptr[k + 1]
-        if hi - lo < 2:
-            continue
-        nb = nbrs[lo:hi].tolist()
-        d = len(nb)
-        for ai in range(d - 1):
-            a = nb[ai]
-            base = a << _SHIFT
-            for bi in range(ai + 1, d):
-                b = nb[bi]
-                if (base | b) not in eset:
-                    count += 1
-                    if sink is not None:
-                        sink(a, b, k)
-    return count

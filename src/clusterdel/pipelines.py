@@ -26,14 +26,23 @@ import numpy as np
 from .graph import Graph, InvariantError
 from .pivoting import Clustering, PivotAudit, PivotStrategy, pivot
 from .stc import DEFAULT_ARC_BUDGET, labeling_from_lp, solve_stc_lp
-from .wedges import (WedgeSet, maximal_wedge_set_fast,
-                     maximal_wedge_set_simple)
+from .wedges import WedgeSet, maximal_wedge_set_fast
 
-_JSON_KEYS = ("algorithm", "strategy", "seed", "n", "m", "wedges",
-              "weak_edges", "lp_value_half_units", "deletions",
-              "lower_bound_half_units", "ratio", "m_W", "m_S", "m_1",
-              "b_half", "n_half", "boundary_edges", "internal_nonedges",
-              "clusters", "merged", "runtime_ms")
+
+@dataclass
+class Certificate:
+    """A certified lower bound and the weak edge set it strips (results
+    keep this for rescoring, never the stripped graph)."""
+
+    algorithm: str
+    wedges: int | None
+    lp_value_half_units: int | None
+    lower_bound_half_units: int
+    weak_set: set[int]
+    # weak_mask[e]: edge e of the input graph is in weak_set
+    weak_mask: np.ndarray
+    # stclp: the relaxation's values by edge id, in half-units
+    values: list[int] | None
 
 
 @dataclass
@@ -63,10 +72,11 @@ class CDResult:
     audit: PivotAudit
     merged: bool
     runtime_ms: dict[str, float | None]
-    weak_set: set[int] = field(repr=False, default_factory=set)
-    values: list[int] | None = field(repr=False, default=None)
-    # weak_mask[e]: edge e of the input graph is in weak_set
-    weak_mask: np.ndarray | None = field(repr=False, default=None)
+    certificate: Certificate = field(repr=False)
+
+    @property
+    def weak_set(self) -> set[int]:
+        return self.certificate.weak_set
 
     def to_json_dict(self) -> dict:
         if self.ratio is None:
@@ -75,7 +85,7 @@ class CDResult:
             ratio = {"num": self.ratio.numerator,
                      "den": self.ratio.denominator,
                      "float": float(self.ratio)}
-        vals = {"algorithm": self.algorithm, "strategy": self.strategy,
+        return {"algorithm": self.algorithm, "strategy": self.strategy,
                 "seed": self.seed, "n": self.n, "m": self.m,
                 "wedges": self.wedges, "weak_edges": self.weak_edges,
                 "lp_value_half_units": self.lp_value_half_units,
@@ -89,60 +99,38 @@ class CDResult:
                 "clusters": self.clustering.num_clusters,
                 "merged": self.merged,
                 "runtime_ms": dict(self.runtime_ms)}
-        return {k: vals[k] for k in _JSON_KEYS}
 
 
-@dataclass
-class _Prep:
-    """Stage-1 artifacts shared across pivot runs."""
-
-    algorithm: str
-    wedges: int | None
-    weak: set[int]
-    weak_mask: np.ndarray
-    values: list[int] | None
-    lp_half: int | None
-    lower_bound_half: int
-    ghat: Graph
-    lb_ms: float
-
-
-def _prepare_mfp(g: Graph, matcher: str = "fast",
-                 wedge_set: WedgeSet | None = None) -> _Prep:
+def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
+             wedge_set: WedgeSet | None = None
+             ) -> tuple[Certificate, Graph, float]:
+    """Stage 1, shared by every pivot run: the certificate, the graph
+    stripped of its weak edges, and the milliseconds both took."""
     t0 = perf_counter()
-    if wedge_set is not None:
-        ws = wedge_set
-    elif matcher == "fast":
-        ws = maximal_wedge_set_fast(g)
-    elif matcher == "simple":
-        ws = maximal_wedge_set_simple(g)
+    if algorithm == "mfp":
+        ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
+        wedges, lp_half, values = len(ws.wedges), None, None
+        weak, lower_bound = set(ws.weak_edges), 2 * len(ws.wedges)
+    elif algorithm == "stclp":
+        sol = solve_stc_lp(g, arc_budget)
+        wedges, lp_half, values = None, sol.objective_half_units, sol.values
+        weak, lower_bound = labeling_from_lp(sol), sol.objective_half_units
     else:
-        raise ValueError(f"unknown matcher {matcher!r}")
-    weak_mask, ghat = g.split_edges(ws.weak_edges)
-    lb_ms = (perf_counter() - t0) * 1000.0
-    return _Prep("mfp", len(ws.wedges), set(ws.weak_edges), weak_mask, None,
-                 None, 2 * len(ws.wedges), ghat, lb_ms)
-
-
-def _prepare_stclp(g: Graph, arc_budget: int = DEFAULT_ARC_BUDGET) -> _Prep:
-    t0 = perf_counter()
-    sol = solve_stc_lp(g, arc_budget)
-    weak = labeling_from_lp(sol)
+        raise ValueError(f"unknown algorithm {algorithm!r}")
     weak_mask, ghat = g.split_edges(weak)
-    lb_ms = (perf_counter() - t0) * 1000.0
-    return _Prep("stclp", None, weak, weak_mask, sol.values,
-                 sol.objective_half_units, sol.objective_half_units, ghat,
-                 lb_ms)
+    cert = Certificate(algorithm, wedges, lp_half, lower_bound, weak,
+                       weak_mask, values)
+    return cert, ghat, (perf_counter() - t0) * 1000.0
 
 
-def _score(g: Graph, prep: _Prep, clustering: Clustering,
+def _score(g: Graph, cert: Certificate, clustering: Clustering,
            audit: PivotAudit, strategy: PivotStrategy,
            merged: bool, runtime_ms: dict[str, float | None]) -> CDResult:
-    weak = prep.weak
-    values = prep.values
+    weak = cert.weak_set
+    values = cert.values
     assignment = np.array(clustering.assignment, dtype=np.int64)
     cut = assignment[g._edge_u] != assignment[g._edge_v]
-    cut_weak = cut & prep.weak_mask
+    cut_weak = cut & cert.weak_mask
     deletions = int(np.count_nonzero(cut))
     m_w = int(np.count_nonzero(cut_weak))
     m_s = deletions - m_w
@@ -151,7 +139,7 @@ def _score(g: Graph, prep: _Prep, clustering: Clustering,
         vals = np.array(values, dtype=np.int64)
         m_1 = int(np.count_nonzero(cut_weak & (vals == 2)))
         b_half = m_w - m_1
-        n_half = int(np.count_nonzero(prep.weak_mask & ~cut & (vals == 1)))
+        n_half = int(np.count_nonzero(cert.weak_mask & ~cut & (vals == 1)))
     # every cluster must be a clique of g
     internal_pairs = sum(len(c) * (len(c) - 1) // 2
                          for c in clustering.clusters)
@@ -168,12 +156,12 @@ def _score(g: Graph, prep: _Prep, clustering: Clustering,
             raise InvariantError(
                 f"{len(weak) - m_w} kept weak edges != "
                 f"{audit.internal_nonedges} audited internal non-edges")
-    lb = prep.lower_bound_half
+    lb = cert.lower_bound_half_units
     ratio = Fraction(2 * deletions, lb) if lb > 0 else None
     return CDResult(
-        algorithm=prep.algorithm, strategy=strategy.kind,
-        seed=strategy.seed, n=g.n, m=g.m, wedges=prep.wedges,
-        weak_edges=len(weak), lp_value_half_units=prep.lp_half,
+        algorithm=cert.algorithm, strategy=strategy.kind,
+        seed=strategy.seed, n=g.n, m=g.m, wedges=cert.wedges,
+        weak_edges=len(weak), lp_value_half_units=cert.lp_value_half_units,
         deletions=deletions, lower_bound_half_units=lb, ratio=ratio,
         m_w=m_w, m_s=m_s,
         m_1=m_1 if values is not None else None,
@@ -182,35 +170,33 @@ def _score(g: Graph, prep: _Prep, clustering: Clustering,
         boundary_edges=audit.boundary_edges,
         internal_nonedges=audit.internal_nonedges,
         clustering=clustering, audit=audit, merged=merged,
-        runtime_ms=runtime_ms, weak_set=weak, values=values,
-        weak_mask=prep.weak_mask)
+        runtime_ms=runtime_ms, certificate=cert)
 
 
-def _finish(g: Graph, prep: _Prep, strategy: PivotStrategy) -> CDResult:
+def _finish(g: Graph, cert: Certificate, ghat: Graph, lb_ms: float,
+            strategy: PivotStrategy) -> CDResult:
     t0 = perf_counter()
-    clustering, audit = pivot(prep.ghat, strategy)
+    clustering, audit = pivot(ghat, strategy)
     pivot_ms = (perf_counter() - t0) * 1000.0
-    runtime_ms = {"lower_bound": prep.lb_ms, "pivot": pivot_ms,
-                  "merge": None}
-    return _score(g, prep, clustering, audit, strategy, False, runtime_ms)
+    runtime_ms = {"lower_bound": lb_ms, "pivot": pivot_ms, "merge": None}
+    return _score(g, cert, clustering, audit, strategy, False, runtime_ms)
 
 
 def match_flip_pivot(g: Graph, strategy: PivotStrategy,
-                     matcher: str = "fast",
                      wedge_set: WedgeSet | None = None) -> CDResult:
     """Match a maximal wedge set, strip its legs, pivot.  An explicit
-    wedge_set overrides the matcher (for tests and experiments)."""
-    return _finish(g, _prepare_mfp(g, matcher, wedge_set), strategy)
+    wedge_set is used in place of a computed one (for tests)."""
+    return _finish(g, *_prepare(g, "mfp", wedge_set=wedge_set), strategy)
 
 
 def stc_lp_round(g: Graph, strategy: PivotStrategy,
                  arc_budget: int = DEFAULT_ARC_BUDGET) -> CDResult:
     """Solve the STC relaxation, strip edges at weakness >= 1/2, pivot."""
-    return _finish(g, _prepare_stclp(g, arc_budget), strategy)
+    return _finish(g, *_prepare(g, "stclp", arc_budget), strategy)
 
 
 def best_of_random(g: Graph, trials: int, base_seed: int = 0,
-                   algorithm: str = "mfp", matcher: str = "fast",
+                   algorithm: str = "mfp",
                    arc_budget: int = DEFAULT_ARC_BUDGET
                    ) -> tuple[CDResult, dict]:
     """Run the random strategy with seeds base_seed..base_seed+trials-1
@@ -218,17 +204,12 @@ def best_of_random(g: Graph, trials: int, base_seed: int = 0,
     deletions, earliest seed on ties) and summary statistics."""
     if trials < 1:
         raise ValueError("trials must be positive")
-    if algorithm == "mfp":
-        prep = _prepare_mfp(g, matcher)
-    elif algorithm == "stclp":
-        prep = _prepare_stclp(g, arc_budget)
-    else:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
+    prep = _prepare(g, algorithm, arc_budget)
     best: CDResult | None = None
     total_deletions = 0
     total_ratio = 0.0
     for i in range(trials):
-        res = _finish(g, prep, PivotStrategy.random(base_seed + i))
+        res = _finish(g, *prep, PivotStrategy.random(base_seed + i))
         total_deletions += res.deletions
         if res.ratio is not None:
             total_ratio += float(res.ratio)
@@ -329,13 +310,11 @@ def apply_merge(g: Graph, result: CDResult,
     t0 = perf_counter()
     merged = merge_clusters(g, result.clustering, max_passes, budget_ms)
     merge_ms = (perf_counter() - t0) * 1000.0
-    prep = _Prep(result.algorithm, result.wedges, result.weak_set,
-                 result.weak_mask, result.values, result.lp_value_half_units,
-                 result.lower_bound_half_units, g, 0.0)
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms
     strategy = PivotStrategy(result.strategy, result.seed)
-    out = _score(g, prep, merged, result.audit, strategy, True, runtime_ms)
+    out = _score(g, result.certificate, merged, result.audit, strategy, True,
+                 runtime_ms)
     if out.deletions > result.deletions:
         raise InvariantError("merge increased deletions")
     return out

@@ -23,11 +23,10 @@ and the objective equals the cut value, which equals the matching size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph, InvariantError, enumerate_open_wedges
+from .graph import Graph, InvariantError
 
 DEFAULT_ARC_BUDGET = 5_000_000
 
@@ -213,15 +212,3 @@ def labeling_from_lp(sol: HalfIntegralSolution) -> set[int]:
         if val >= 1:
             weak.add(eu_ev[e])
     return weak
-
-
-def verify_stc_feasible(g: Graph, values: Sequence[int]) -> bool:
-    """Check every open wedge carries total weakness >= 2 half-units."""
-    ok = [True]
-
-    def sink_wedge(i: int, j: int, k: int) -> None:
-        if values[g.edge_id(i, k)] + values[g.edge_id(j, k)] < 2:
-            ok[0] = False
-
-    enumerate_open_wedges(g, sink_wedge)
-    return ok[0]

@@ -1,14 +1,14 @@
 """Maximal edge-disjoint sets of open wedges.
 
-Two matchers produce a maximal set W of open wedges no two of which share
-an edge: a simple greedy over the full wedge enumeration, and a faster
-skip-list sweep that touches each neighbor pair at most once per center.
-The two edges of every matched wedge form the weak set E_W; maximality
-means every open wedge of the graph loses at least one edge to E_W.
+The matcher produces a maximal set W of open wedges no two of which share
+an edge, by a skip-list sweep that touches each neighbor pair at most once
+per center.  The two edges of every matched wedge form the weak set E_W;
+maximality means every open wedge of the graph loses at least one edge to
+E_W.
 
-The fast matcher is the pipelines' hot loop, so its skip list lives in
-local variables and it tests closure by looking the packed pair up in
-the graph's edge-id dict directly.
+The matcher is the pipelines' hot loop, so its skip list lives in local
+variables and it tests closure by looking the packed pair up in the
+graph's edge-id dict directly.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .graph import Graph, enumerate_open_wedges, pack_edge, unpack_edge
+from .graph import Graph
 
 
 class OpenWedge(NamedTuple):
@@ -39,29 +39,6 @@ class WedgeSet:
     @property
     def weak_count(self) -> int:
         return len(self.weak_edges)
-
-
-def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
-    """Greedy matcher over the full wedge enumeration."""
-    weak: set[int] = set()
-    wedges: list[OpenWedge] = []
-    inspections = 0
-
-    def sink(i: int, j: int, k: int) -> None:
-        nonlocal inspections
-        inspections += 1
-        e1 = pack_edge(i, k)
-        if e1 in weak:
-            return
-        e2 = pack_edge(j, k)
-        if e2 in weak:
-            return
-        weak.add(e1)
-        weak.add(e2)
-        wedges.append(OpenWedge(i, j, k))
-
-    enumerate_open_wedges(g, sink)
-    return WedgeSet(wedges, weak, inspections)
 
 
 def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
@@ -127,32 +104,3 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
             if i < 0:
                 break
     return WedgeSet(wedges, weak, inspections)
-
-
-def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
-    """Raise ValueError unless ws is a valid maximal edge-disjoint wedge set."""
-    used: set[int] = set()
-    for wdg in ws.wedges:
-        i, j, k = wdg
-        if not i < j:
-            raise ValueError(f"wedge {wdg} not canonical")
-        if not (g.has_edge(i, k) and g.has_edge(j, k)):
-            raise ValueError(f"wedge {wdg} legs missing from graph")
-        if g.has_edge(i, j):
-            raise ValueError(f"wedge {wdg} is closed")
-        for key in (pack_edge(i, k), pack_edge(j, k)):
-            if key in used:
-                raise ValueError(f"edge {unpack_edge(key)} shared by two wedges")
-            used.add(key)
-    if used != ws.weak_edges:
-        raise ValueError("weak_edges does not match the union of wedge legs")
-    violations: list[tuple[int, int, int]] = []
-
-    def sink(i: int, j: int, k: int) -> None:
-        if pack_edge(i, k) not in used and pack_edge(j, k) not in used:
-            violations.append((i, j, k))
-
-    enumerate_open_wedges(g, sink)
-    if violations:
-        raise ValueError(f"wedge set not maximal: {violations[0]} untouched")
-

@@ -1,13 +1,114 @@
-"""Exact reference solvers, exponential-time, for testing on small inputs.
+"""Reference code that only the tests use, kept out of the package.
 
-Each solver is written against the problem definition directly and
-independently of the approximation pipeline, so agreement between the two
-is meaningful evidence.  Guards reject inputs past the practical size.
+Exact solvers for small inputs (exponential time, guarded by size), the
+open-wedge enumerator, the greedy wedge matcher over its output, and the
+verifiers of a wedge set and of relaxation values.  Each is written
+against the problem definition directly and independently of the
+approximation pipeline, so agreement between the two is meaningful
+evidence.
 """
 
 from __future__ import annotations
 
-from .graph import Graph, enumerate_open_wedges
+from typing import Callable, Sequence
+
+from clusterdel import Graph, OpenWedge, WedgeSet, pack_edge, unpack_edge
+from clusterdel.graph import _SHIFT
+
+
+def enumerate_open_wedges(g: Graph,
+                          sink: Callable[[int, int, int], None] | None = None
+                          ) -> int:
+    """Stream every open wedge of g; return the count.
+
+    A wedge is reported in canonical form (i, j, k) with i < j, where
+    (i, k) and (j, k) are edges and (i, j) is not.  Wedges are grouped by
+    center k.  ``sink`` receives each wedge; pass None to just count.
+    """
+    count = 0
+    indptr = g._indptr
+    nbrs = g._nbrs
+    eset = g._edge_ids
+    for k in range(g.n):
+        lo = indptr[k]
+        hi = indptr[k + 1]
+        if hi - lo < 2:
+            continue
+        nb = nbrs[lo:hi].tolist()
+        d = len(nb)
+        for ai in range(d - 1):
+            a = nb[ai]
+            base = a << _SHIFT
+            for bi in range(ai + 1, d):
+                b = nb[bi]
+                if (base | b) not in eset:
+                    count += 1
+                    if sink is not None:
+                        sink(a, b, k)
+    return count
+
+
+def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
+    """Greedy matcher over the full wedge enumeration."""
+    weak: set[int] = set()
+    wedges: list[OpenWedge] = []
+    inspections = 0
+
+    def sink(i: int, j: int, k: int) -> None:
+        nonlocal inspections
+        inspections += 1
+        e1 = pack_edge(i, k)
+        if e1 in weak:
+            return
+        e2 = pack_edge(j, k)
+        if e2 in weak:
+            return
+        weak.add(e1)
+        weak.add(e2)
+        wedges.append(OpenWedge(i, j, k))
+
+    enumerate_open_wedges(g, sink)
+    return WedgeSet(wedges, weak, inspections)
+
+
+def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
+    """Raise ValueError unless ws is a valid maximal edge-disjoint wedge set."""
+    used: set[int] = set()
+    for wdg in ws.wedges:
+        i, j, k = wdg
+        if not i < j:
+            raise ValueError(f"wedge {wdg} not canonical")
+        if not (g.has_edge(i, k) and g.has_edge(j, k)):
+            raise ValueError(f"wedge {wdg} legs missing from graph")
+        if g.has_edge(i, j):
+            raise ValueError(f"wedge {wdg} is closed")
+        for key in (pack_edge(i, k), pack_edge(j, k)):
+            if key in used:
+                raise ValueError(f"edge {unpack_edge(key)} shared by two wedges")
+            used.add(key)
+    if used != ws.weak_edges:
+        raise ValueError("weak_edges does not match the union of wedge legs")
+    violations: list[tuple[int, int, int]] = []
+
+    def sink(i: int, j: int, k: int) -> None:
+        if pack_edge(i, k) not in used and pack_edge(j, k) not in used:
+            violations.append((i, j, k))
+
+    enumerate_open_wedges(g, sink)
+    if violations:
+        raise ValueError(f"wedge set not maximal: {violations[0]} untouched")
+
+
+def verify_stc_feasible(g: Graph, values: Sequence[int]) -> bool:
+    """Check every open wedge carries total weakness >= 2 half-units."""
+    ok = [True]
+
+    def sink_wedge(i: int, j: int, k: int) -> None:
+        if values[g.edge_id(i, k)] + values[g.edge_id(j, k)] < 2:
+            ok[0] = False
+
+    enumerate_open_wedges(g, sink_wedge)
+    return ok[0]
 
 
 def exact_cluster_deletion(g: Graph, max_n: int = 14

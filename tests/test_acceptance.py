@@ -17,25 +17,27 @@ import pytest
 
 from clusterdel import (
     PivotStrategy,
-    enumerate_open_wedges,
     er_graph,
-    exact_cluster_deletion,
-    exact_min_stc,
-    exact_stc_lp,
-    gallai_graph,
     match_flip_pivot,
     maximal_wedge_set_fast,
-    maximal_wedge_set_simple,
     apply_merge,
-    min_vertex_cover,
     parse_edge_list,
     pivot,
     solve_stc_lp,
     stc_lp_round,
     tight_instance,
-    verify_wedge_set,
 )
 from helpers import clusters_are_cliques, disjoint_paths
+from oracles import (
+    enumerate_open_wedges,
+    exact_cluster_deletion,
+    exact_min_stc,
+    exact_stc_lp,
+    gallai_graph,
+    maximal_wedge_set_simple,
+    min_vertex_cover,
+    verify_wedge_set,
+)
 
 TIGHT_SIZES = (8, 12, 20, 40)
 CORPUS_NS = range(4, 11)

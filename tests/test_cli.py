@@ -102,6 +102,9 @@ def test_run_merge_improves_tight_instance(tight_file):
     ["run", "--in", "x", "--seed", "4"],
     ["run", "--in", "x", "--algo", "stclp", "--matcher", "fast"],
     ["run", "--in", "x", "--merge-budget-ms", "5"],
+    # --matcher is not a flag of run or lb
+    ["run", "--in", "x", "--matcher", "simple"],
+    ["lb", "--in", "x", "--matcher", "fast"],
 ])
 def test_flag_combinations_exit_3(argv, tight_file):
     argv = [a if a != "x" else tight_file for a in argv]

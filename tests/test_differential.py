@@ -81,7 +81,8 @@ def assert_same_scores(g: Graph) -> None:
                 want = dict(got)
                 want.update(score_by_edge_loop(
                     g, scored.clustering.assignment, scored.weak_set,
-                    scored.values, scored.lower_bound_half_units))
+                    scored.certificate.values,
+                    scored.lower_bound_half_units))
                 want["clusters"] = len(scored.clustering.clusters)
                 assert got == want
 

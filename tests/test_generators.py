@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdel import er_graph, tight_instance, verify_wedge_set
+from clusterdel import er_graph, tight_instance
+from oracles import verify_wedge_set
 
 
 @pytest.mark.parametrize("n", [8, 12, 20, 40])

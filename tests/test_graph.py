@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from clusterdel import (
     EdgeListParseError,
     Graph,
-    enumerate_open_wedges,
     er_graph,
     pack_edge,
     parse_edge_list,
@@ -17,6 +16,7 @@ from clusterdel import (
     unpack_edge,
 )
 from helpers import brute_force_wedges
+from oracles import enumerate_open_wedges
 
 
 @given(st.integers(0, 2**31 - 1), st.integers(0, 2**31 - 1))
@@ -123,8 +123,7 @@ def drop_edges_by_comprehension(g, packed_keys):
     """The loop drop_edges replaced, kept as its reference."""
     keep = [e for e, key in enumerate(g.packed_edges())
             if key not in packed_keys]
-    return Graph(g.n, g._edge_u[keep], g._edge_v[keep], labels=g.labels,
-                 id_map=g.id_map)
+    return Graph(g.n, g._edge_u[keep], g._edge_v[keep], labels=g.labels)
 
 
 @pytest.mark.parametrize("seed", range(12))

@@ -2,20 +2,19 @@ from __future__ import annotations
 
 import pytest
 
-from clusterdel import (
-    Graph,
-    er_graph,
-    exact_cluster_deletion,
-    exact_min_stc,
-    exact_stc_lp,
-    gallai_graph,
-    min_vertex_cover,
-)
+from clusterdel import Graph, er_graph
 from helpers import (
     brute_force_cluster_deletion,
     clusters_are_cliques,
     cut_deletions,
     small_graph,
+)
+from oracles import (
+    exact_cluster_deletion,
+    exact_min_stc,
+    exact_stc_lp,
+    gallai_graph,
+    min_vertex_cover,
 )
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])

@@ -22,6 +22,7 @@ from clusterdel import (
 )
 from clusterdel import pipelines
 from helpers import clusters_are_cliques, cut_deletions
+from oracles import maximal_wedge_set_simple
 
 JSON_KEYS = ["algorithm", "strategy", "seed", "n", "m", "wedges",
              "weak_edges", "lp_value_half_units", "deletions",
@@ -53,12 +54,11 @@ def test_mfp_on_tight_instance_with_injected_wedges():
 
 def test_mfp_matcher_selection():
     g, _, _ = tight_instance(8)
-    fast = match_flip_pivot(g, PivotStrategy.degree(), matcher="fast")
-    simple = match_flip_pivot(g, PivotStrategy.degree(), matcher="simple")
+    fast = match_flip_pivot(g, PivotStrategy.degree())
+    simple = match_flip_pivot(g, PivotStrategy.degree(),
+                              wedge_set=maximal_wedge_set_simple(g))
     for res in (fast, simple):
         assert clusters_are_cliques(g, res.clustering.clusters)
-    with pytest.raises(ValueError):
-        match_flip_pivot(g, PivotStrategy.degree(), matcher="bogus")
 
 
 def test_stclp_on_tight_instance():

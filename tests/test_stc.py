@@ -10,18 +10,16 @@ from clusterdel import (
     ArcBudgetError,
     Graph,
     InvariantError,
-    enumerate_open_wedges,
     er_graph,
-    exact_stc_lp,
     labeling_from_lp,
     pack_edge,
     solve_stc_lp,
-    verify_stc_feasible,
 )
 from clusterdel import stc
 from clusterdel.stc import DEFAULT_ARC_BUDGET
 from helpers import (labels_feasible, labels_from_values, solution_lines,
                      stc_cut_network, values_from_labels)
+from oracles import enumerate_open_wedges, exact_stc_lp, verify_stc_feasible
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])

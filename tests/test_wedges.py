@@ -10,12 +10,11 @@ from clusterdel import (
     WedgeSet,
     er_graph,
     maximal_wedge_set_fast,
-    maximal_wedge_set_simple,
     pack_edge,
-    verify_wedge_set,
 )
 from helpers import (FastMatchCursor, disjoint_paths, iter_weak_pairs,
                      triangle_count, wedge_set_lines)
+from oracles import maximal_wedge_set_simple, verify_wedge_set
 
 
 def sweep(items: list[int], drops: set[tuple[int, int]]) -> list[tuple[int, int]]:
