@@ -102,9 +102,7 @@ def _cmd_run(args) -> int:
         return _fail("--merge-budget-ms needs --merge", 3)
     try:
         g = _load_graph(args.infile)
-    except EdgeListParseError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
+    except (EdgeListParseError, OSError) as exc:
         return _fail(str(exc), 1)
     strategy = (PivotStrategy.random(args.seed or 0)
                 if args.strategy == "random"
@@ -148,9 +146,7 @@ def _cmd_run(args) -> int:
 def _cmd_lb(args) -> int:
     try:
         g = _load_graph(args.infile)
-    except EdgeListParseError as exc:
-        return _fail(str(exc), 1)
-    except OSError as exc:
+    except (EdgeListParseError, OSError) as exc:
         return _fail(str(exc), 1)
     ws = maximal_wedge_set_fast(g)
     print(f"wedges={len(ws.wedges)}")

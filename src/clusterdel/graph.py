@@ -3,10 +3,10 @@
 Graphs are read from whitespace-separated edge lists (SNAP style) or built
 from explicit edge iterables.  Node labels are compacted to dense internal
 ids in first-appearance order; original labels are kept so clusterings can
-be written back in terms of the input file.  Edges get dense ids 0..m-1 in
-first-appearance order, which the LP machinery uses to index per-edge
-values, and are keyed by their packed endpoint pair, which the wedge
-matcher and ``has_edge`` look up.
+be written back in terms of the input file.  An edge's id is its position
+0..m-1 in first-appearance order, which indexes per-edge arrays such as
+relaxation values and weak masks.  A key index of packed endpoint pairs
+answers membership for the wedge matcher and ``has_edge``.
 """
 
 from __future__ import annotations
@@ -49,15 +49,15 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_edge_u",
-                 "_edge_v", "_edge_ids")
+                 "_edge_v", "_edge_keys")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None,
-                 edge_ids: dict[int, int] | None = None):
+                 edge_keys: dict[int, None] | None = None):
         # edge_u/edge_v must already be canonical (u < v), deduplicated,
         # self-loop free, in edge-id order.  Use from_edges/parse_edge_list.
-        # edge_ids, when given, must map each packed key to its edge id;
-        # the graph takes ownership of it.
+        # edge_keys, when given, must hold exactly the packed keys of the
+        # edges; the graph takes ownership of it.
         self.n = n
         self.m = int(len(edge_u))
         self.labels = labels
@@ -75,10 +75,9 @@ class Graph:
             np.cumsum(counts, out=self._indptr[1:])
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
-        if edge_ids is None:
-            packed = ((edge_u << _SHIFT) | edge_v).tolist()
-            edge_ids = dict(zip(packed, range(len(packed))))
-        self._edge_ids = edge_ids
+        if edge_keys is None:
+            edge_keys = dict.fromkeys(((edge_u << _SHIFT) | edge_v).tolist())
+        self._edge_keys = edge_keys
 
     @property
     def id_map(self) -> dict[int, int] | None:
@@ -91,23 +90,23 @@ class Graph:
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
                    labels: list[int] | None = None) -> "Graph":
         """Build a graph on nodes 0..n-1; drops self-loops and duplicates."""
-        seen: dict[int, int] = {}
+        seen: dict[int, None] = {}
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
             if u == v:
                 continue
-            seen.setdefault(pack_edge(u, v), len(seen))
-        return cls._from_edge_ids(n, seen, labels)
+            seen[pack_edge(u, v)] = None
+        return cls._from_edge_keys(n, seen, labels)
 
     @classmethod
-    def _from_edge_ids(cls, n: int, edge_ids: dict[int, int],
-                       labels: list[int] | None) -> "Graph":
-        """Graph whose edges are the keys of edge_ids, a dict of packed
-        keys to 0, 1, 2, ... in insertion order; it becomes _edge_ids."""
-        keys = np.fromiter(edge_ids, dtype=np.int64, count=len(edge_ids))
+    def _from_edge_keys(cls, n: int, edge_keys: dict[int, None],
+                        labels: list[int] | None) -> "Graph":
+        """Graph whose edges are the packed keys of edge_keys, in insertion
+        order; the dict becomes _edge_keys."""
+        keys = np.fromiter(edge_keys, dtype=np.int64, count=len(edge_keys))
         return cls(n, keys >> _SHIFT, keys & _MASK, labels=labels,
-                   edge_ids=edge_ids)
+                   edge_keys=edge_keys)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a view; do not mutate)."""
@@ -119,11 +118,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        return pack_edge(u, v) in self._edge_ids
-
-    def edge_id(self, u: int, v: int) -> int:
-        """Dense id of edge {u, v}; KeyError if absent."""
-        return self._edge_ids[pack_edge(u, v)]
+        return pack_edge(u, v) in self._edge_keys
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in edge-id order."""
@@ -137,32 +132,31 @@ class Graph:
 
     def drop_edges(self, packed_keys: set[int]) -> "Graph":
         """Copy of the graph without the given edges (packed keys)."""
-        return self.split_edges(packed_keys)[1]
+        return self.keep_edges(~self.edge_mask(packed_keys))
 
-    def split_edges(self, packed_keys: set[int]
-                    ) -> tuple[np.ndarray, "Graph"]:
-        """(dropped, copy): a boolean array over edge ids marking the edges
-        whose packed key is in packed_keys, and the graph without them.
-        Keys of absent pairs are ignored."""
+    def edge_mask(self, packed_keys: set[int]) -> np.ndarray:
+        """Boolean array over edge ids, True where the edge's packed key is
+        in packed_keys.  Keys of absent pairs are ignored."""
         drop = np.sort(np.fromiter(packed_keys, dtype=np.int64,
                                    count=len(packed_keys)))
-        keys = (self._edge_u << _SHIFT) | self._edge_v
-        dropped = np.zeros(self.m, dtype=bool)
+        mask = np.zeros(self.m, dtype=bool)
         if len(drop):
             # search in key order, which keeps the binary searches
             # cache-friendly (np.isin would do, but its first call imports
             # numpy.ma: +2 MiB)
+            keys = (self._edge_u << _SHIFT) | self._edge_v
             order = np.argsort(keys)
             sorted_keys = keys[order]
             pos = np.minimum(np.searchsorted(drop, sorted_keys),
                              len(drop) - 1)
-            dropped[order] = drop[pos] == sorted_keys
-        keep = ~dropped
-        kept = keys[keep]
-        copy = Graph(self.n, self._edge_u[keep], self._edge_v[keep],
-                     labels=self.labels,
-                     edge_ids=dict(zip(kept.tolist(), range(len(kept)))))
-        return dropped, copy
+            mask[order] = drop[pos] == sorted_keys
+        return mask
+
+    def keep_edges(self, keep: np.ndarray) -> "Graph":
+        """Copy of the graph with only the edges marked in keep, a boolean
+        array over edge ids."""
+        return Graph(self.n, self._edge_u[keep], self._edge_v[keep],
+                     labels=self.labels)
 
 
 def parse_edge_list(source) -> Graph:
@@ -183,8 +177,8 @@ def parse_edge_list(source) -> Graph:
         lines = source
     id_map: dict[int, int] = {}
     labels: list[int] = []
-    # packed key -> edge id, in first-appearance order
-    seen: dict[int, int] = {}
+    # packed edge keys, in first-appearance order
+    seen: dict[int, None] = {}
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -212,9 +206,8 @@ def parse_edge_list(source) -> Graph:
             labels.append(b)
         if ia == ib:
             continue
-        seen.setdefault((ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia,
-                        len(seen))
-    return Graph._from_edge_ids(len(labels), seen, labels)
+        seen[(ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia] = None
+    return Graph._from_edge_keys(len(labels), seen, labels)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -111,16 +111,17 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
         wedges, lp_half, values = len(ws.wedges), None, None
         weak, lower_bound = set(ws.weak_edges), 2 * len(ws.wedges)
+        weak_mask = g.edge_mask(weak)
     elif algorithm == "stclp":
         sol = solve_stc_lp(g, arc_budget)
         wedges, lp_half, values = None, sol.objective_half_units, sol.values
         weak, lower_bound = labeling_from_lp(sol), sol.objective_half_units
+        weak_mask = np.array(values, dtype=np.int64) >= 1
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    weak_mask, ghat = g.split_edges(weak)
     cert = Certificate(algorithm, wedges, lp_half, lower_bound, weak,
                        weak_mask, values)
-    return cert, ghat, (perf_counter() - t0) * 1000.0
+    return cert, g.keep_edges(~weak_mask), (perf_counter() - t0) * 1000.0
 
 
 def _score(g: Graph, cert: Certificate, clustering: Clustering,
@@ -303,12 +304,11 @@ def _mergeable(g: Graph, c1: list[int], c2: list[int]) -> bool:
 
 
 def apply_merge(g: Graph, result: CDResult,
-                max_passes: int | None = None,
                 budget_ms: float | None = None) -> CDResult:
     """Post-process a pipeline result with clique-preserving merges and
     rescore it; the pivot-stage audit fields carry over unchanged."""
     t0 = perf_counter()
-    merged = merge_clusters(g, result.clustering, max_passes, budget_ms)
+    merged = merge_clusters(g, result.clustering, budget_ms=budget_ms)
     merge_ms = (perf_counter() - t0) * 1000.0
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms

@@ -54,9 +54,6 @@ class HalfIntegralSolution:
     values: list[int]
     objective_half_units: int
 
-    def value_of(self, u: int, v: int) -> int:
-        return self.values[self.graph.edge_id(u, v)]
-
 
 def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
     """CSR over edge ids of the Gallai graph (each open wedge joins its two
@@ -206,9 +203,6 @@ def solve_stc_lp(g: Graph,
 
 def labeling_from_lp(sol: HalfIntegralSolution) -> set[int]:
     """Weak-edge set (packed pair keys): edges with weakness >= one half."""
-    weak = set()
-    eu_ev = sol.graph.packed_edges()
-    for e, val in enumerate(sol.values):
-        if val >= 1:
-            weak.add(eu_ev[e])
-    return weak
+    g = sol.graph
+    weak = np.array(sol.values, dtype=np.int64) >= 1
+    return set(((g._edge_u[weak] << 32) | g._edge_v[weak]).tolist())

@@ -8,7 +8,7 @@ E_W.
 
 The matcher is the pipelines' hot loop, so its skip list lives in local
 variables and it tests closure by looking the packed pair up in the
-graph's edge-id dict directly.
+graph's key index directly.
 """
 
 from __future__ import annotations
@@ -62,7 +62,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     inspections = 0
     indptr = g._indptr.tolist()
     nbrs = g._nbrs
-    edge_ids = g._edge_ids
+    edge_keys = g._edge_keys
     for v in range(g.n):
         lo = indptr[v]
         hi = indptr[v + 1]
@@ -90,7 +90,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
             while True:
                 inspections += 1
                 w = live[j]
-                if (ubase | w) not in edge_ids:  # live is sorted: u < w
+                if (ubase | w) not in edge_keys:  # live is sorted: u < w
                     weak.add((vbase | u) if v < u else (ubase | v))
                     weak.add((vbase | w) if v < w else ((w << 32) | v))
                     wedges.append(OpenWedge(u, w, v))

@@ -5,8 +5,9 @@ Edmonds-Karp, cubic wedge enumeration, Bell-number partition search, the
 relaxation's cut network as an explicit arc list, the wedge matcher driven
 by a skip-list cursor object, pivoting on a residual-graph object with
 the audit counted apart from the removal, the ratio pivot as a full scan
-per round, cluster merging over all pairs, and scoring by an edge loop.
-None of it shares code with src/.
+per round, cluster merging over all pairs, scoring by an edge loop, and
+stripping by a weak key set that is searched back into a mask.  None of it
+shares code with src/.
 """
 from __future__ import annotations
 
@@ -16,7 +17,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, Sequence
 
-from clusterdel import Graph, HalfIntegralSolution, WedgeSet, er_graph
+import numpy as np
+
+from clusterdel import (Graph, HalfIntegralSolution, WedgeSet, er_graph,
+                        pack_edge)
 
 
 def edmonds_karp(num_nodes: int, source: int, sink: int,
@@ -57,6 +61,11 @@ def edmonds_karp(num_nodes: int, source: int, sink: int,
                 side.add(v)
                 queue.append(v)
     return flow, side
+
+
+def edge_ids(g: Graph) -> dict[int, int]:
+    """Packed key -> edge id, which is the edge's position in g.edges()."""
+    return {key: e for e, key in enumerate(g.packed_edges())}
 
 
 def brute_force_wedges(g: Graph) -> list[tuple[int, int, int]]:
@@ -149,8 +158,9 @@ def stc_cut_network(g: Graph) -> tuple[int, int, int,
     for e in range(m):
         arcs.append((s, 2 * e, 1))
         arcs.append((2 * e + 1, t, 1))
+    ids = edge_ids(g)
     for i, j, k in brute_force_wedges(g):
-        a, b = g.edge_id(i, k), g.edge_id(j, k)
+        a, b = ids[pack_edge(i, k)], ids[pack_edge(j, k)]
         arcs.append((2 * a, 2 * b + 1, m + 1))
         arcs.append((2 * b, 2 * a + 1, m + 1))
     return 2 * m + 2, s, t, arcs
@@ -288,9 +298,10 @@ def values_from_labels(labels: CutLabels) -> list[int]:
 def labels_feasible(g: Graph, labels: CutLabels) -> bool:
     """Check the binary form of the wedge constraints: for every open
     wedge, lo of one leg is at most hi of the other."""
+    ids = edge_ids(g)
     for i, j, k in brute_force_wedges(g):
-        eik = g.edge_id(i, k)
-        ejk = g.edge_id(j, k)
+        eik = ids[pack_edge(i, k)]
+        ejk = ids[pack_edge(j, k)]
         if labels.lo[eik] > labels.hi[ejk] or labels.lo[ejk] > labels.hi[eik]:
             return False
     return True
@@ -527,3 +538,29 @@ def score_by_edge_loop(g: Graph, assignment: Sequence[int], weak: set[int],
     return {"deletions": deletions, "m_W": m_w, "m_S": m_s,
             "m_1": m_1 if lp else None, "b_half": b_half if lp else None,
             "n_half": n_half if lp else None, "ratio": ratio}
+
+
+def weak_keys_by_edge_loop(sol: HalfIntegralSolution) -> set[int]:
+    """Packed keys of the edges at weakness >= one half, one edge at a
+    time."""
+    keys = sol.graph.packed_edges()
+    return {keys[e] for e, val in enumerate(sol.values) if val >= 1}
+
+
+def split_by_sorted_search(g: Graph, packed_keys: set[int]
+                           ) -> tuple[np.ndarray, Graph]:
+    """(mask over edge ids of the edges whose key is in packed_keys, copy
+    of g without them): the keys are sorted and g's keys searched among
+    them, in key order."""
+    drop = np.sort(np.fromiter(packed_keys, dtype=np.int64,
+                               count=len(packed_keys)))
+    keys = (g._edge_u << 32) | g._edge_v
+    dropped = np.zeros(g.m, dtype=bool)
+    if len(drop):
+        order = np.argsort(keys)
+        sorted_keys = keys[order]
+        pos = np.minimum(np.searchsorted(drop, sorted_keys), len(drop) - 1)
+        dropped[order] = drop[pos] == sorted_keys
+    keep = ~dropped
+    return dropped, Graph(g.n, g._edge_u[keep], g._edge_v[keep],
+                          labels=g.labels)

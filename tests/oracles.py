@@ -14,6 +14,7 @@ from typing import Callable, Sequence
 
 from clusterdel import Graph, OpenWedge, WedgeSet, pack_edge, unpack_edge
 from clusterdel.graph import _SHIFT
+from helpers import edge_ids
 
 
 def enumerate_open_wedges(g: Graph,
@@ -28,7 +29,7 @@ def enumerate_open_wedges(g: Graph,
     count = 0
     indptr = g._indptr
     nbrs = g._nbrs
-    eset = g._edge_ids
+    eset = g._edge_keys
     for k in range(g.n):
         lo = indptr[k]
         hi = indptr[k + 1]
@@ -102,9 +103,10 @@ def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
 def verify_stc_feasible(g: Graph, values: Sequence[int]) -> bool:
     """Check every open wedge carries total weakness >= 2 half-units."""
     ok = [True]
+    ids = edge_ids(g)
 
     def sink_wedge(i: int, j: int, k: int) -> None:
-        if values[g.edge_id(i, k)] + values[g.edge_id(j, k)] < 2:
+        if values[ids[pack_edge(i, k)]] + values[ids[pack_edge(j, k)]] < 2:
             ok[0] = False
 
     enumerate_open_wedges(g, sink_wedge)
@@ -174,9 +176,10 @@ def exact_min_stc(g: Graph, max_m: int = 24) -> int:
     if g.m > max_m:
         raise ValueError(f"exact STC limited to m <= {max_m}")
     constraints: list[tuple[int, int]] = []
+    ids = edge_ids(g)
     enumerate_open_wedges(
-        g, lambda i, j, k: constraints.append((g.edge_id(i, k),
-                                               g.edge_id(j, k))))
+        g, lambda i, j, k: constraints.append((ids[pack_edge(i, k)],
+                                               ids[pack_edge(j, k)])))
     weak = bytearray(g.m)
     best = [g.m]
 
@@ -233,9 +236,10 @@ def gallai_graph(g: Graph) -> Graph:
     join the two legs of each open wedge; vertex covers of it are exactly
     valid weak-edge sets of g."""
     pairs: list[tuple[int, int]] = []
+    ids = edge_ids(g)
     enumerate_open_wedges(
-        g, lambda i, j, k: pairs.append((g.edge_id(i, k),
-                                         g.edge_id(j, k))))
+        g, lambda i, j, k: pairs.append((ids[pack_edge(i, k)],
+                                         ids[pack_edge(j, k)])))
     return Graph.from_edges(g.m, pairs)
 
 
@@ -246,10 +250,11 @@ def exact_stc_lp(g: Graph, max_m: int = 12) -> int:
         raise ValueError(f"exact relaxation limited to m <= {max_m}")
     by_later: list[list[int]] = [[] for _ in range(g.m)]
     involved: set[int] = set()
+    ids = edge_ids(g)
 
     def sink_wedge(i: int, j: int, k: int) -> None:
-        a = g.edge_id(i, k)
-        b = g.edge_id(j, k)
+        a = ids[pack_edge(i, k)]
+        b = ids[pack_edge(j, k)]
         by_later[max(a, b)].append(min(a, b))
         involved.add(a)
         involved.add(b)

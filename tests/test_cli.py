@@ -96,6 +96,16 @@ def test_run_merge_improves_tight_instance(tight_file):
     assert merged <= plain
 
 
+def test_run_merge_with_zero_budget_prints_unmerged(tight_file):
+    _, plain_out, _ = run_cli(["run", "--in", tight_file])
+    _, merged_out, _ = run_cli(["run", "--in", tight_file, "--merge"])
+    code, out, err = run_cli(["run", "--in", tight_file, "--merge",
+                              "--merge-budget-ms", "0"])
+    assert code == 0 and err == ""
+    assert merged_out != plain_out
+    assert out == plain_out
+
+
 @pytest.mark.parametrize("argv", [
     ["run", "--in", "x", "--trials", "0"],
     ["run", "--in", "x", "--trials", "3"],
@@ -177,7 +187,7 @@ def test_invariant_error_exits_4(tight_file, monkeypatch):
     # a merge that splits every cluster apart adds deletions, which
     # apply_merge's own check must refuse
     monkeypatch.setattr(
-        pipelines, "merge_clusters", lambda g, clustering, passes, budget:
+        pipelines, "merge_clusters", lambda g, clustering, budget_ms=None:
         Clustering(list(range(g.n)), [[v] for v in range(g.n)]))
     code, out, err = run_cli(["run", "--in", tight_file, "--merge"])
     assert code == 4

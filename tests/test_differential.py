@@ -9,7 +9,11 @@ Each must give exactly what its reference gives:
 - the neighbourhood-driven merge: the merged clusters and assignment of
   the pairwise scan, for one, two or unlimited passes;
 - scoring: every stats field apart from runtime_ms, as an edge loop
-  computes it, for both pipelines, merged and unmerged.
+  computes it, for both pipelines, merged and unmerged;
+- the preparation: the weak set, weak mask and stripped graph of taking
+  the weak edges as a packed-key set (by an edge loop over the relaxation
+  values on stclp), searching it back into a mask in key order, and
+  copying the graph without them.
 """
 from __future__ import annotations
 
@@ -19,10 +23,12 @@ import pytest
 
 from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         match_flip_pivot, maximal_wedge_set_fast,
-                        merge_clusters, pivot, stc_lp_round)
+                        merge_clusters, pivot, solve_stc_lp, stc_lp_round)
+from clusterdel.pipelines import _prepare
 from helpers import (maximal_wedge_set_by_cursor, merge_clusters_pairwise,
                      pivot_by_residual_graph, planted_clusters,
-                     ratio_pivot_by_full_scan, score_by_edge_loop)
+                     ratio_pivot_by_full_scan, score_by_edge_loop,
+                     split_by_sorted_search, weak_keys_by_edge_loop)
 from test_acceptance import corpus
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
@@ -87,6 +93,20 @@ def assert_same_scores(g: Graph) -> None:
                 assert got == want
 
 
+def assert_same_preparation(g: Graph) -> None:
+    for algorithm, keys in (
+            ("mfp", maximal_wedge_set_fast(g).weak_edges),
+            ("stclp", weak_keys_by_edge_loop(solve_stc_lp(g)))):
+        cert, ghat, _ = _prepare(g, algorithm)
+        mask, stripped = split_by_sorted_search(g, keys)
+        assert cert.weak_set == keys
+        assert cert.weak_mask.dtype == bool
+        assert cert.weak_mask.tolist() == mask.tolist()
+        assert (ghat.n, ghat.labels) == (stripped.n, stripped.labels)
+        assert ghat.packed_edges() == stripped.packed_edges()
+        assert list(ghat._edge_keys) == stripped.packed_edges()
+
+
 def assert_same_as_references(g: Graph) -> None:
     # as in the mfp pipeline: pivot the stripped graph, merge on g
     ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
@@ -99,6 +119,7 @@ def assert_same_as_references(g: Graph) -> None:
     assert_same_merges(g, ghat)
     assert_same_merges(g, g)
     assert_same_scores(g)
+    assert_same_preparation(g)
 
 
 def test_acceptance_corpus():

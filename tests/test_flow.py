@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdel import Graph, er_graph, solve_stc_lp
-from helpers import (brute_force_wedges, edmonds_karp, planted_clusters,
-                     small_graph, stc_values_by_edmonds_karp)
+from clusterdel import Graph, er_graph, pack_edge, solve_stc_lp
+from helpers import (brute_force_wedges, edge_ids, edmonds_karp,
+                     planted_clusters, small_graph,
+                     stc_values_by_edmonds_karp)
 
 
 def test_single_arc():
@@ -104,8 +105,9 @@ def scipy_matching_size(g: Graph) -> int:
     sparse = pytest.importorskip("scipy.sparse")
     csgraph = pytest.importorskip("scipy.sparse.csgraph")
     rows, cols = [], []
+    ids = edge_ids(g)
     for i, j, k in brute_force_wedges(g):
-        a, b = g.edge_id(i, k), g.edge_id(j, k)
+        a, b = ids[pack_edge(i, k)], ids[pack_edge(j, k)]
         rows += [a, b]
         cols += [b, a]
     biadjacency = sparse.csr_matrix(([1] * len(rows), (rows, cols)),

@@ -15,7 +15,7 @@ from clusterdel import (
     serialize_edge_list,
     unpack_edge,
 )
-from helpers import brute_force_wedges
+from helpers import brute_force_wedges, edge_ids
 from oracles import enumerate_open_wedges
 
 
@@ -103,11 +103,31 @@ def test_adjacency_accessors():
 
 def test_edge_ids_follow_first_appearance():
     g = Graph.from_edges(4, [(2, 3), (0, 1), (3, 2)])
-    assert g.edge_id(2, 3) == 0
-    assert g.edge_id(1, 0) == 1
-    with pytest.raises(KeyError):
-        g.edge_id(0, 2)
+    ids = edge_ids(g)
+    assert ids[pack_edge(2, 3)] == 0
+    assert ids[pack_edge(1, 0)] == 1
+    assert pack_edge(0, 2) not in g._edge_keys
     assert g.packed_edges() == [pack_edge(2, 3), pack_edge(0, 1)]
+
+
+def assert_key_index_is_packed_edges(g):
+    # the index holds each edge's key once, in edge-id order, and no other
+    assert list(g._edge_keys) == g.packed_edges()
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_key_index_holds_exactly_the_edges(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(0, 3 * n))]
+    text = "".join(f"{100 + u} {100 + v}\n" for u, v in pairs)
+    for g in (parse_edge_list(text), Graph.from_edges(n, pairs)):
+        assert_key_index_is_packed_edges(g)
+        keys = g.packed_edges()
+        for drop in (set(), set(keys), set(keys[::3]),
+                     set(keys[1::2]) | {pack_edge(n, n + 1)}):
+            assert_key_index_is_packed_edges(g.drop_edges(drop))
 
 
 def test_drop_edges_returns_pruned_copy():
@@ -141,8 +161,7 @@ def test_drop_edges_matches_comprehension(seed):
         want = drop_edges_by_comprehension(g, drop)
         assert (got.n, got.labels, got.id_map) == (g.n, g.labels, g.id_map)
         assert got.packed_edges() == want.packed_edges()
-        assert [got.edge_id(u, v) for u, v in got.edges()] == \
-            list(range(got.m))
+        assert_key_index_is_packed_edges(got)
         assert all(got.neighbors(v).tolist() == want.neighbors(v).tolist()
                    for v in range(g.n))
 

@@ -152,6 +152,24 @@ def test_merge_max_passes_zero_is_identity():
     assert merged.clusters == split.clusters
 
 
+def test_merge_with_zero_budget_is_identity():
+    g = er_graph(5, 1.0, seed=0)
+    singletons = Clustering(list(range(5)), [[v] for v in range(5)])
+    merged = merge_clusters(g, singletons, budget_ms=0)
+    assert merged.clusters == singletons.clusters
+    assert merged.assignment == singletons.assignment
+
+
+def test_apply_merge_with_zero_budget_keeps_deletions():
+    g, _, _ = tight_instance(12)
+    res = match_flip_pivot(g, PivotStrategy.degree())
+    assert apply_merge(g, res).deletions < res.deletions
+    out = apply_merge(g, res, budget_ms=0)
+    assert out.merged is True
+    assert out.deletions == res.deletions
+    assert out.clustering.clusters == res.clustering.clusters
+
+
 def test_apply_merge_rescoring():
     g, _, _ = tight_instance(8)
     res = match_flip_pivot(g, PivotStrategy.degree())
@@ -246,7 +264,7 @@ def test_apply_merge_rejects_more_deletions(monkeypatch):
     res = match_flip_pivot(g, PivotStrategy.degree())
     assert res.deletions == 0
     monkeypatch.setattr(pipelines, "merge_clusters",
-                        lambda g, clustering, passes, budget: Clustering(
+                        lambda g, clustering, budget_ms=None: Clustering(
                             list(range(4)), [[v] for v in range(4)]))
     with pytest.raises(InvariantError, match="merge increased"):
         apply_merge(g, res)

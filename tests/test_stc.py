@@ -17,8 +17,8 @@ from clusterdel import (
 )
 from clusterdel import stc
 from clusterdel.stc import DEFAULT_ARC_BUDGET
-from helpers import (labels_feasible, labels_from_values, solution_lines,
-                     stc_cut_network, values_from_labels)
+from helpers import (edge_ids, labels_feasible, labels_from_values,
+                     solution_lines, stc_cut_network, values_from_labels)
 from oracles import enumerate_open_wedges, exact_stc_lp, verify_stc_feasible
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
@@ -50,7 +50,9 @@ def test_path_solution():
     sol = solve_stc_lp(P3)
     assert sol.objective_half_units == 2
     assert sol.values == [1, 1]
-    assert sol.value_of(0, 1) == 1 and sol.value_of(2, 1) == 1
+    ids = edge_ids(P3)
+    assert sol.values[ids[pack_edge(0, 1)]] == 1
+    assert sol.values[ids[pack_edge(2, 1)]] == 1
 
 
 def test_triangle_solution_is_all_strong():
