@@ -11,19 +11,39 @@ left after the fast matcher's weak edges are stripped, as the mfp
 pipeline does; the random pivot uses --seed, and the merge input is the
 degree-pivot clustering.  The mfp row times one whole match_flip_pivot
 call with the degree strategy: matcher, strip, pivot and scoring.
-Sizes default to a quick sweep; --big adds the acceptance-scale
-instances (m around 10^6 for the matcher, and edges plus open wedges
-around half a million for the LP).
+The parse row times ``parse_edge_list`` on the million-edge matcher
+instance, written to a temporary file and read from an open file as the
+CLI reads it; its problem size is the number of lines.  Sizes default to
+a quick sweep; --big adds the acceptance-scale instances (m around 10^6
+for the matcher, and edges plus open wedges around half a million for the
+LP).
+
+With --json BENCH_<label>.json the script also runs the benchmark,
+``perfbench/run.py``, once per workload, seed 11..15 and --trace 0 and 1,
+each in its own process for the run length BENCHMARK.json sets, and
+writes one file with those results (each run's checked deletions and
+ratio beside its times), the CSV rows, the commit, the tracked files that
+differ from it, and the Python and numpy versions.  Every BENCH file is
+made by this one command, so the files compare run for run:
+
+    python3 scripts/scaling_bench.py --big --json BENCH_<label>.json
 """
 from __future__ import annotations
 
 import argparse
 import gc
+import json
+import platform
+import subprocess
 import sys
+import tempfile
 from pathlib import Path
 from time import perf_counter
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
 
 from clusterdel import (  # noqa: E402
     PivotStrategy,
@@ -31,7 +51,9 @@ from clusterdel import (  # noqa: E402
     match_flip_pivot,
     maximal_wedge_set_fast,
     merge_clusters,
+    parse_edge_list,
     pivot,
+    serialize_edge_list,
     solve_stc_lp,
 )
 
@@ -40,6 +62,8 @@ MATCHER_BIG = [(20_000, 0.005)]
 LP_SWEEP = [(30_000, 1.5 / 30_000), (100_000, 1.5 / 100_000)]
 LP_BIG = [(260_000, 1.5 / 260_000)]
 PIVOT_MERGE = [(2_000, 0.01), (5_000, 0.004)]
+BENCH_SEEDS = range(11, 16)
+CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "rss_delta_mib")
 
 
 def rss_bytes() -> int:
@@ -51,7 +75,18 @@ def rss_bytes() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def bench_matcher(n: int, p: float, seed: int) -> None:
+def row(stage: str, n: int, m: int, size: int, seconds: float,
+        delta: float) -> dict:
+    return dict(zip(CSV_FIELDS, (stage, n, m, size, round(seconds, 3),
+                                 round(delta))))
+
+
+def csv_line(r: dict) -> str:
+    return (f"{r['stage']},{r['n']},{r['m']},{r['size']},{r['seconds']:.3f},"
+            f"{r['rss_delta_mib']}")
+
+
+def bench_matcher(n: int, p: float, seed: int) -> list[dict]:
     gc.collect()
     before = rss_bytes()
     g = er_graph(n, p, seed=seed)
@@ -59,7 +94,19 @@ def bench_matcher(n: int, p: float, seed: int) -> None:
     ws = maximal_wedge_set_fast(g)
     elapsed = perf_counter() - t0
     delta = (rss_bytes() - before) / 2**20
-    print(f"matcher,{g.n},{g.m},{len(ws.wedges)},{elapsed:.3f},{delta:.0f}")
+    return [row("matcher", g.n, g.m, len(ws.wedges), elapsed, delta)]
+
+
+def bench_parse(n: int, p: float, seed: int) -> list[dict]:
+    g = er_graph(n, p, seed=seed)
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "edges.txt"
+        path.write_text(serialize_edge_list(g), encoding="utf-8")
+        lines = g.n + g.m
+        del g
+        with open(path, encoding="utf-8") as fh:
+            parsed, elapsed, delta = timed(parse_edge_list, fh)
+    return [row("parse", parsed.n, parsed.m, lines, elapsed, delta)]
 
 
 def open_wedges(g) -> int:
@@ -73,7 +120,7 @@ def open_wedges(g) -> int:
     return count
 
 
-def bench_lp(n: int, p: float, seed: int) -> None:
+def bench_lp(n: int, p: float, seed: int) -> list[dict]:
     gc.collect()
     before = rss_bytes()
     g = er_graph(n, p, seed=seed)
@@ -82,8 +129,8 @@ def bench_lp(n: int, p: float, seed: int) -> None:
     sol = solve_stc_lp(g)
     elapsed = perf_counter() - t0
     delta = (rss_bytes() - before) / 2**20
-    print(f"lp,{g.n},{g.m},{size},{elapsed:.3f},{delta:.0f}")
     assert sol.objective_half_units >= 0
+    return [row("lp", g.n, g.m, size, elapsed, delta)]
 
 
 def timed(fn, *args):
@@ -96,35 +143,101 @@ def timed(fn, *args):
     return out, elapsed, (rss_bytes() - before) / 2**20
 
 
-def bench_pivot_and_merge(n: int, p: float, seed: int) -> None:
+def bench_pivot_and_merge(n: int, p: float, seed: int) -> list[dict]:
     g = er_graph(n, p, seed=seed)
     ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
+    rows = []
     for stage, strategy in (("pivot-degree", PivotStrategy.degree()),
                             ("pivot-ratio", PivotStrategy.ratio()),
                             ("pivot-random", PivotStrategy.random(seed))):
         _, elapsed, delta = timed(pivot, ghat, strategy)
-        print(f"{stage},{g.n},{g.m},{ghat.m},{elapsed:.3f},{delta:.0f}")
+        rows.append(row(stage, g.n, g.m, ghat.m, elapsed, delta))
     clustering, _ = pivot(ghat, PivotStrategy.degree())
     _, elapsed, delta = timed(merge_clusters, g, clustering)
-    print(f"merge,{g.n},{g.m},{clustering.num_clusters},{elapsed:.3f},"
-          f"{delta:.0f}")
+    rows.append(row("merge", g.n, g.m, clustering.num_clusters, elapsed,
+                    delta))
     res, elapsed, delta = timed(match_flip_pivot, g, PivotStrategy.degree())
-    print(f"mfp,{g.n},{g.m},{res.wedges},{elapsed:.3f},{delta:.0f}")
+    rows.append(row("mfp", g.n, g.m, res.wedges, elapsed, delta))
+    return rows
 
 
-def main() -> int:
+def git(*args: str) -> str:
+    return subprocess.run(["git", *args], cwd=ROOT, capture_output=True,
+                          text=True, check=True).stdout.strip()
+
+
+def perfbench_runs() -> list[dict]:
+    """One benchmark run per workload, seed and trace setting, each in its
+    own process; a run that prints no result records its exit code and
+    the end of its standard error."""
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
+    runs = []
+    for workload in spec["workloads"]:
+        for seed in BENCH_SEEDS:
+            for trace in (0, 1):
+                argv = [sys.executable, "perfbench/run.py", "--workload",
+                        workload["name"], "--seed", str(seed), "--seconds",
+                        str(seconds), "--trace", str(trace)]
+                proc = subprocess.run(argv, cwd=ROOT, capture_output=True,
+                                      text=True)
+                run = {"workload": workload["name"], "seed": seed,
+                       "trace": trace, "seconds": seconds}
+                lines = proc.stdout.splitlines()
+                if proc.returncode == 0 and lines:
+                    run["result"] = json.loads(lines[-1])
+                else:
+                    run["exit_code"] = proc.returncode
+                    run["stderr_tail"] = proc.stderr[-2000:]
+                print(f"perfbench {workload['name']} seed {seed} trace "
+                      f"{trace}: exit {proc.returncode}", file=sys.stderr)
+                runs.append(run)
+    return runs
+
+
+def write_bench(path: Path, argv: list[str], runs: list[dict],
+                rows: list[dict]) -> None:
+    record = {
+        "label": path.stem.removeprefix("BENCH_"),
+        "command": " ".join(["scripts/scaling_bench.py", *argv]),
+        "commit": git("rev-parse", "HEAD"),
+        "changed_files": git("diff", "--name-only", "HEAD").splitlines(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "perfbench": runs,
+        "rows": rows,
+    }
+    path.write_text(json.dumps(record, indent=1) + "\n")
+
+
+def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--big", action="store_true",
                     help="include the acceptance-scale instances")
     ap.add_argument("--seed", type=int, default=42)
-    args = ap.parse_args()
-    print("stage,n,m,size,seconds,rss_delta_mib")
-    for n, p in MATCHER_SWEEP + (MATCHER_BIG if args.big else []):
-        bench_matcher(n, p, args.seed)
-    for n, p in LP_SWEEP + (LP_BIG if args.big else []):
-        bench_lp(n, p, args.seed)
-    for n, p in PIVOT_MERGE:
-        bench_pivot_and_merge(n, p, args.seed)
+    ap.add_argument("--json", type=Path, default=None,
+                    metavar="BENCH_<label>.json",
+                    help="also run the benchmark and write both to this file")
+    argv = sys.argv[1:] if argv is None else argv
+    args = ap.parse_args(argv)
+    # The benchmark runs go first: a child's peak RSS includes this
+    # process's peak at the time it is started, which the rows below raise
+    # to hundreds of MiB.
+    runs = perfbench_runs() if args.json is not None else []
+    benches = [(bench_matcher, n, p)
+               for n, p in MATCHER_SWEEP + (MATCHER_BIG if args.big else [])]
+    benches += [(bench_parse, *MATCHER_BIG[0])]
+    benches += [(bench_lp, n, p)
+                for n, p in LP_SWEEP + (LP_BIG if args.big else [])]
+    benches += [(bench_pivot_and_merge, n, p) for n, p in PIVOT_MERGE]
+    print(",".join(CSV_FIELDS))
+    rows = []
+    for bench, n, p in benches:
+        for r in bench(n, p, args.seed):
+            print(csv_line(r), flush=True)
+            rows.append(r)
+    if args.json is not None:
+        write_bench(args.json, argv, runs, rows)
     return 0
 
 

@@ -11,9 +11,11 @@ Examples:
   clusterdel lb --in graph.txt
   clusterdel gen --tight 16 --out tight16.txt
 
-Exit codes: 0 ok, 1 malformed input, 2 relaxation arc budget exceeded,
-3 invalid flags or parameters, 4 internal error (a result failed one of
-its invariant checks; this is a bug, not a problem with the input).
+Exit codes: 0 ok, 1 unreadable or malformed input (a missing file, bytes
+that are not UTF-8, a truncated or corrupted .gz, or a bad line),
+2 relaxation arc budget exceeded, 3 invalid flags or parameters,
+4 internal error (a result failed one of its invariant checks; this is a
+bug, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -22,6 +24,7 @@ import argparse
 import gzip
 import json
 import sys
+import zlib
 
 from .generators import er_graph, tight_instance
 from .graph import (EdgeListParseError, InvariantError, parse_edge_list,
@@ -80,6 +83,12 @@ def _build_parser() -> _Parser:
     return parser
 
 
+# What loading --in raises on a missing, unreadable or malformed file: an
+# OS error, bytes that are not UTF-8, or a truncated or corrupted .gz.
+_LOAD_ERRORS = (EdgeListParseError, OSError, UnicodeDecodeError, EOFError,
+                zlib.error)
+
+
 def _load_graph(path: str):
     opener = gzip.open if path.endswith(".gz") else open
     with opener(path, "rt", encoding="utf-8") as fh:
@@ -102,7 +111,7 @@ def _cmd_run(args) -> int:
         return _fail("--merge-budget-ms needs --merge", 3)
     try:
         g = _load_graph(args.infile)
-    except (EdgeListParseError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         return _fail(str(exc), 1)
     strategy = (PivotStrategy.random(args.seed or 0)
                 if args.strategy == "random"
@@ -146,7 +155,7 @@ def _cmd_run(args) -> int:
 def _cmd_lb(args) -> int:
     try:
         g = _load_graph(args.infile)
-    except (EdgeListParseError, OSError) as exc:
+    except _LOAD_ERRORS as exc:
         return _fail(str(exc), 1)
     ws = maximal_wedge_set_fast(g)
     print(f"wedges={len(ws.wedges)}")

@@ -1,16 +1,22 @@
 """Undirected simple graphs backed by CSR adjacency arrays.
 
 Graphs are read from whitespace-separated edge lists (SNAP style) or built
-from explicit edge iterables.  Node labels are compacted to dense internal
-ids in first-appearance order; original labels are kept so clusterings can
-be written back in terms of the input file.  An edge's id is its position
-0..m-1 in first-appearance order, which indexes per-edge arrays such as
-relaxation values and weak masks.  A key index of packed endpoint pairs
-answers membership for the wedge matcher and ``has_edge``.
+from explicit edge iterables.  A plain edge list, whose lines are blank or
+hold two integers of at most 18 digits once ``#`` comments are removed, is
+parsed in bulk with numpy; any other text, and any iterable of lines, is
+parsed one line at a time to the same graph.  Node labels are compacted
+to dense internal ids in first-appearance order; original labels are kept
+so clusterings can be written back in terms of the input file.  An edge's
+id is its position 0..m-1 in first-appearance order, which indexes
+per-edge arrays such as relaxation values and weak masks.  A key index of
+packed endpoint pairs answers membership for the wedge matcher and
+``has_edge``.
 """
 
 from __future__ import annotations
 
+import io
+import re
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -159,22 +165,117 @@ class Graph:
                      labels=self.labels)
 
 
+def _plain_text(blank: str, line_break: str) -> re.Pattern:
+    """Pattern that fullmatches a text whose lines, split at line_break,
+    are blank or hold two tokens of at most 18 digits (which always fit
+    int64) between blank characters.  The quantifiers are possessive: a
+    failed line never backtracks, so one fullmatch scans the text once and
+    keeps no state per line."""
+    token = r"[+-]?[0-9]{1,18}+"
+    line = rf"[{blank}]*+(?:{token}[{blank}]++{token}[{blank}]*+)?+"
+    return re.compile(rf"(?:{line}(?:{line_break}))*+{line}")
+
+
+# str and bytes break lines as splitlines() does, and a comment ends at any
+# of its breaks, but only \r, \n and \r\n are plain.  A stream's lines
+# break at \n only, and \r is a blank inside a line.
+_PLAIN = _plain_text(r" \t", r"\r\n?|\n")
+_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
+_PLAIN_STREAM = _plain_text(r" \t\r", r"\n")
+_STREAM_COMMENT = re.compile("#[^\n]*")
+
+
 def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    ``source`` may be a str, bytes, or an iterable of lines (e.g. an open
-    file).  ``#`` starts a comment (full-line or trailing).  Each remaining
-    line must hold exactly two integer tokens.  Duplicate edges in either
-    orientation collapse to one; self-loops are dropped but still register
-    the label, so a node can exist with degree 0.  Labels are compacted to
-    0..n-1 in first-appearance order.
+    ``source`` may be a str, bytes, an object with ``.read()`` (an open
+    file, text or binary), or any other iterable of lines.  ``#`` starts a
+    comment (full-line or trailing).  Each remaining line must hold exactly
+    two integer tokens.  Duplicate edges in either orientation collapse to
+    one; self-loops are dropped but still register the label, so a node
+    can exist with degree 0.  Labels are compacted to 0..n-1 in
+    first-appearance order.
+
+    str and bytes (decoded as UTF-8) break into lines as ``splitlines()``
+    breaks them.  An object with ``.read()`` is read whole, and its lines
+    break where iterating it would break them: at ``"\\n"`` only for a
+    binary file or a text file opened in the default newline mode, and at
+    ``"\\r"`` too for a text file opened with ``newline=""``.  Plain
+    text, where every line is blank or holds two tokens of at most 18
+    ASCII digits (with an optional sign) between spaces or tabs, is parsed
+    in bulk with numpy: such tokens always fit int64.  Anything else, and
+    every other iterable, goes through a loop over the lines, which raises
+    ``EdgeListParseError`` with the line number of a malformed line.  Both
+    routes give the same graph.
     """
     if isinstance(source, bytes):
-        lines: Iterable = source.decode("utf-8").splitlines()
-    elif isinstance(source, str):
-        lines = source.splitlines()
+        source = source.decode("utf-8")
+    if isinstance(source, str):
+        g = _parse_plain(source, _COMMENT, _PLAIN)
+        return g if g is not None else _parse_lines(source.splitlines())
+    if not hasattr(source, "read"):
+        return _parse_lines(source)
+    data = source.read()
+    if isinstance(data, bytes):
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError:
+            # the loop raises it at the line that holds the bad bytes, as
+            # iterating the stream would
+            return _parse_lines(io.BytesIO(data))
     else:
-        lines = source
+        text = data
+        if "\r" in text and getattr(source, "newlines", None) is not None:
+            # a text stream opened with newline="" breaks lines at \r too
+            g = _parse_plain(text, _COMMENT, _PLAIN)
+            return g if g is not None else _parse_lines(
+                io.StringIO(text, newline=""))
+    g = _parse_plain(text, _STREAM_COMMENT, _PLAIN_STREAM)
+    return g if g is not None else _parse_lines(text.split("\n"))
+
+
+def _parse_plain(text: str, comment: re.Pattern,
+                 plain: re.Pattern) -> Graph | None:
+    """The graph of text in bulk, or None unless the text is plain once
+    its comments are removed."""
+    if "#" in text:
+        text = comment.sub("", text)
+    if not plain.fullmatch(text):
+        return None
+    if not text or text.isspace():  # fromstring would read blanks as [0]
+        return Graph._from_edge_keys(0, {}, [])
+    labels, ids = _first_appearance_ids(
+        np.fromstring(text, dtype=np.int64, sep=" "))
+    a, b = ids[0::2], ids[1::2]
+    lo, hi = np.minimum(a, b), np.maximum(a, b)
+    keys = ((lo << _SHIFT) | hi)[lo != hi]
+    # the dict keeps each edge at its first appearance
+    return Graph._from_edge_keys(len(labels), dict.fromkeys(keys.tolist()),
+                                 labels)
+
+
+def _first_appearance_ids(tokens: np.ndarray) -> tuple[list[int],
+                                                       np.ndarray]:
+    """The distinct tokens in first-appearance order, and each token's
+    index among them."""
+    # an unstable sort is cheaper than np.unique's stable one; each value's
+    # first position is the least position in its run of the sorted tokens
+    perm = np.argsort(tokens)
+    ordered = tokens[perm]
+    run_start = np.empty(len(ordered), dtype=bool)
+    run_start[0] = True
+    np.not_equal(ordered[1:], ordered[:-1], out=run_start[1:])
+    starts = np.flatnonzero(run_start)
+    order = np.argsort(np.minimum.reduceat(perm, starts))
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    ids = np.empty_like(perm)
+    ids[perm] = rank[np.cumsum(run_start) - 1]
+    return ordered[starts[order]].tolist(), ids
+
+
+def _parse_lines(lines: Iterable) -> Graph:
+    """The graph of an iterable of str or bytes lines, one at a time."""
     id_map: dict[int, int] = {}
     labels: list[int] = []
     # packed edge keys, in first-appearance order

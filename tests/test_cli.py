@@ -159,6 +159,37 @@ def test_gzip_input(tight_file, tmp_path):
     assert out.startswith("wedges=")
 
 
+def unreadable_input(kind, tight_file, tmp_path):
+    """A file that fails while it is read, before any line is parsed."""
+    data = Path(tight_file).read_bytes()
+    packed = gzip.compress(data, mtime=0)
+    if kind == "not-utf8":
+        path = tmp_path / "latin1.txt"
+        path.write_bytes(data + b"1 2  # caf\xe9\n")
+    elif kind == "truncated-gz":
+        path = tmp_path / "cut.txt.gz"
+        path.write_bytes(packed[:len(packed) // 2])
+    else:  # a damaged deflate block header
+        path = tmp_path / "damaged.txt.gz"
+        path.write_bytes(packed[:12] + b"\xff" * 4 + packed[16:])
+    return str(path)
+
+
+@pytest.mark.parametrize("command,kind", [
+    ("run", "not-utf8"),
+    ("run", "truncated-gz"),
+    ("run", "corrupted-gz"),
+    ("lb", "corrupted-gz"),
+])
+def test_unreadable_input_exits_1(command, kind, tight_file, tmp_path):
+    path = unreadable_input(kind, tight_file, tmp_path)
+    code, out, err = run_cli([command, "--in", path])
+    assert code == 1
+    assert out == ""
+    assert err.startswith("clusterdel: error: ")
+    assert err.count("\n") == 1
+
+
 def test_lb_reports_all_bounds(tight_file):
     code, out, _ = run_cli(["lb", "--in", tight_file])
     assert code == 0

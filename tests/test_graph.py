@@ -1,11 +1,14 @@
 from __future__ import annotations
 
+import gzip
+import io
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import clusterdel.graph
 from clusterdel import (
     EdgeListParseError,
     Graph,
@@ -69,6 +72,124 @@ def test_parse_errors_carry_line_numbers(text, lineno):
         parse_edge_list(text)
     assert exc.value.lineno == lineno
     assert f"line {lineno}:" in str(exc.value)
+
+
+def parse_outcome(source):
+    """The parsed graph's full state, or the error it raised."""
+    try:
+        g = parse_edge_list(source)
+    except Exception as exc:
+        return type(exc), str(exc), getattr(exc, "lineno", None)
+    return (g.n, g.labels, g._edge_u.tolist(), g._edge_v.tolist(),
+            list(g._edge_keys), g._indptr.tolist(), g._nbrs.tolist())
+
+
+# Plain pieces, which the bulk path reads, and odd pieces, which make it
+# leave the text to the line loop: 19-digit and out-of-int64 labels,
+# underscores, non-ASCII digits, junk, lines of one or three tokens, other
+# whitespace and other line breaks, also inside comments.
+_TOKENS = ["0", "1", "2", "3", "17", "-4", "+5", "007", "-0", "9" * 18,
+           "-" + "9" * 18]
+_ODD_TOKENS = ["1" + "0" * 18, str(2**63 - 1), str(2**63), str(-2**63),
+               str(-2**63 - 1), "1_000", "\u0661\u0662", "x", "2.5", "+",
+               "1-2"]
+_BLANKS = [" ", "\t", "  ", " \t"]
+_ODD_BLANKS = ["\r", "\x0b", "\x0c", "\x85", "\xa0", "\u3000"]
+_BREAKS = ["\n", "\n", "\r\n"]
+_ODD_BREAKS = ["\r", "\x0b", "\x0c", "\x1c", "\x85", "\u2028", "\u2029"]
+_COMMENTS = ["", "", "", "#", "# header", "#1 2", "\t# caf\xe9"]
+_ODD_COMMENTS = ["\n# a\r1 2", "\n#\x0b3 4", "# a\x85b"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Plain edge-list text (comments and CRLF included) in which up to
+    three pieces may be swapped for odd ones."""
+    slots = []  # (piece, its odd alternatives)
+    for _ in range(draw(st.integers(0, 8))):
+        k = draw(st.sampled_from([0, 2, 2, 2]))
+        slots.append((draw(st.sampled_from(["", ""] + _BLANKS)),
+                      _ODD_BLANKS))
+        for i in range(k):
+            if i:
+                slots.append((draw(st.sampled_from(_BLANKS)), _ODD_BLANKS))
+            slots.append((draw(st.sampled_from(_TOKENS)),
+                          _ODD_TOKENS + ["", "1 2", "1 2 3"]))
+        slots.append((draw(st.sampled_from(["", ""] + _BLANKS)),
+                      _ODD_BLANKS))
+        slots.append((draw(st.sampled_from(_COMMENTS)), _ODD_COMMENTS))
+        slots.append((draw(st.sampled_from(_BREAKS)), _ODD_BREAKS))
+    pieces = [piece for piece, _ in slots]
+    if slots:
+        for i in draw(st.lists(st.integers(0, len(slots) - 1),
+                               max_size=3)):
+            pieces[i] = draw(st.sampled_from(slots[i][1]))
+    text = "".join(pieces)
+    if draw(st.booleans()):
+        text = text.rstrip("\n")  # no final break
+    return text
+
+
+@settings(max_examples=500, deadline=None)
+@given(edge_list_texts())
+@example("")
+@example(" \t\n\r\n")
+@example("1\r2\n")
+@example("1\x0b2\n3\x0c4\x855\u30006\n")
+@example("# a\r1 2\n#\x0b3 4\n")
+@example("1_000 2\n" + "1" * 19 + " 2\n")
+def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
+                                                      text):
+    # a list of lines always takes the line loop, so it is the reference
+    data = text.encode("utf-8")
+    assert parse_outcome(text) == parse_outcome(text.splitlines())
+    assert parse_outcome(data) == parse_outcome(text.splitlines())
+    for make in (lambda: io.StringIO(text),
+                 lambda: io.StringIO(text, newline=None),
+                 lambda: io.StringIO(text, newline=""),
+                 lambda: io.BytesIO(data)):
+        assert parse_outcome(make()) == parse_outcome(list(make()))
+    path = tmp_path_factory.getbasetemp() / "edges.txt"
+    path.write_bytes(data)
+    gz = path.with_suffix(".txt.gz")
+    gz.write_bytes(gzip.compress(data))
+    for target, newline in ((path, None), (path, ""), (gz, None)):
+        opener = gzip.open if target == gz else open
+        with opener(target, "rt", encoding="utf-8", newline=newline) as a, \
+                opener(target, "rt", encoding="utf-8", newline=newline) as b:
+            assert parse_outcome(a) == parse_outcome(list(b))
+
+
+@pytest.mark.parametrize("data", [
+    b"1 2\n3 \xff\n", b"1 2 3\n\xff\n", b"1 2\n# caf\xe9\n", b"1 2\n# caf\xe9",
+    b"1 2\r# \xe9\r\n3 4",
+])
+def test_undecodable_stream_fails_as_its_lines_do(data):
+    assert parse_outcome(io.BytesIO(data)) == parse_outcome(
+        list(io.BytesIO(data)))
+
+
+def test_plain_and_snap_text_take_the_bulk_path(monkeypatch, tmp_path):
+    def no_line_loop(lines):
+        raise AssertionError("fell back to the line loop")
+
+    monkeypatch.setattr(clusterdel.graph, "_parse_lines", no_line_loop)
+    plain = "1 2\n2 3\n-7 +008\n\n3\t1\r\n"
+    snap = ("# Undirected graph: example.txt\n"
+            "# Nodes: 4 Edges: 4\n"
+            "# FromNodeId\tToNodeId\n"
+            "1\t2\n2\t3\n3\t1\n1\t2\n4\t4  # self-loop\n")
+    path = tmp_path / "snap.txt"
+    path.write_text(snap)
+    for text, labels, m in ((plain, [1, 2, 3, -7, 8], 4),
+                            (snap, [1, 2, 3, 4], 3)):
+        for source in (text, text.encode(), io.StringIO(text),
+                       io.BytesIO(text.encode())):
+            g = parse_edge_list(source)
+            assert (g.labels, g.m) == (labels, m)
+    with open(path, encoding="utf-8") as fh:
+        g = parse_edge_list(fh)
+    assert (g.labels, g.m) == ([1, 2, 3, 4], 3)
 
 
 def test_labels_compact_in_first_appearance_order():
