@@ -11,12 +11,12 @@ left after the fast matcher's weak edges are stripped, as the mfp
 pipeline does; the random pivot uses --seed, and the merge input is the
 degree-pivot clustering.  The mfp row times one whole match_flip_pivot
 call with the degree strategy: matcher, strip, pivot and scoring.
-The parse row times ``parse_edge_list`` on the million-edge matcher
-instance, written to a temporary file and read from an open file as the
-CLI reads it; its problem size is the number of lines.  Sizes default to
-a quick sweep; --big adds the acceptance-scale instances (m around 10^6
-for the matcher, and edges plus open wedges around half a million for the
-LP).
+Sizes default to a quick sweep; --big adds the acceptance-scale
+instances (m around 10^6 for the matcher, and edges plus open wedges
+around half a million for the LP) and the parse row, which times
+``parse_edge_list`` on the million-edge matcher instance, written to a
+temporary file and read from an open file as the CLI reads it; its
+problem size is the number of lines.
 
 With --json BENCH_<label>.json the script also runs the benchmark,
 ``perfbench/run.py``, once per workload, seed 11..15 and --trace 0 and 1,
@@ -226,7 +226,8 @@ def main(argv: list[str] | None = None) -> int:
     runs = perfbench_runs() if args.json is not None else []
     benches = [(bench_matcher, n, p)
                for n, p in MATCHER_SWEEP + (MATCHER_BIG if args.big else [])]
-    benches += [(bench_parse, *MATCHER_BIG[0])]
+    benches += [(bench_parse, n, p)
+                for n, p in (MATCHER_BIG if args.big else [])]
     benches += [(bench_lp, n, p)
                 for n, p in LP_SWEEP + (LP_BIG if args.big else [])]
     benches += [(bench_pivot_and_merge, n, p) for n, p in PIVOT_MERGE]

@@ -1,10 +1,11 @@
 """Undirected simple graphs backed by CSR adjacency arrays.
 
 Graphs are read from whitespace-separated edge lists (SNAP style) or built
-from explicit edge iterables.  A plain edge list, whose lines are blank or
-hold two integers of at most 18 digits once ``#`` comments are removed, is
-parsed in bulk with numpy; any other text, and any iterable of lines, is
-parsed one line at a time to the same graph.  Node labels are compacted
+from explicit edge iterables.  A plain edge list in a str, bytes or open
+file, whose lines are blank or hold two integers of at most 18 digits once
+``#`` comments are removed, is parsed in bulk with numpy; any other text,
+and any other iterable of lines, is parsed one line at a time to the same
+graph.  Node labels are compacted
 to dense internal ids in first-appearance order; original labels are kept
 so clusterings can be written back in terms of the input file.  An edge's
 id is its position 0..m-1 in first-appearance order, which indexes
@@ -165,82 +166,92 @@ class Graph:
                      labels=self.labels)
 
 
-def _plain_text(blank: str, line_break: str) -> re.Pattern:
-    """Pattern that fullmatches a text whose lines, split at line_break,
-    are blank or hold two tokens of at most 18 digits (which always fit
-    int64) between blank characters.  The quantifiers are possessive: a
-    failed line never backtracks, so one fullmatch scans the text once and
-    keeps no state per line."""
-    token = r"[+-]?[0-9]{1,18}+"
-    line = rf"[{blank}]*+(?:{token}[{blank}]++{token}[{blank}]*+)?+"
-    return re.compile(rf"(?:{line}(?:{line_break}))*+{line}")
-
-
-# str and bytes break lines as splitlines() does, and a comment ends at any
-# of its breaks, but only \r, \n and \r\n are plain.  A stream's lines
-# break at \n only, and \r is a blank inside a line.
-_PLAIN = _plain_text(r" \t", r"\r\n?|\n")
-_COMMENT = re.compile("#[^\n\r\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029]*")
-_PLAIN_STREAM = _plain_text(r" \t\r", r"\n")
-_STREAM_COMMENT = re.compile("#[^\n]*")
+# A plain line, from its start: blank, or two tokens of at most 18 digits
+# (which always fit int64) between blanks.  The bulk path reads text whose
+# lines break at "\n" alone, so "\r" inside a line is a blank.
+_TOKEN = r"[+-]?[0-9]{1,18}"
+_PLAIN_LINE = rf"[ \t\r]*(?:{_TOKEN}[ \t\r]+{_TOKEN}[ \t\r]*)?(?:\n|\Z)"
+# Each line is tried once from its start and can backtrack only within
+# itself, so a text is checked in linear time and constant memory.  (One
+# fullmatch of the whole text would keep state for every line, unless its
+# quantifiers were possessive, which needs Python 3.11.)
+_PLAIN_FIRST_LINE = re.compile(_PLAIN_LINE)
+_NOT_PLAIN_LINE = re.compile(rf"\n(?!{_PLAIN_LINE})")
+_COMMENT = re.compile("#[^\n]*")
 
 
 def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    ``source`` may be a str, bytes, an object with ``.read()`` (an open
-    file, text or binary), or any other iterable of lines.  ``#`` starts a
-    comment (full-line or trailing).  Each remaining line must hold exactly
-    two integer tokens.  Duplicate edges in either orientation collapse to
+    ``source`` may be a str, bytes, an open file (an ``io.IOBase``, text
+    or binary), or any other iterable of lines.  ``#`` starts a comment
+    (full-line or trailing).  Each remaining line must hold exactly two
+    integer tokens.  Duplicate edges in either orientation collapse to
     one; self-loops are dropped but still register the label, so a node
     can exist with degree 0.  Labels are compacted to 0..n-1 in
     first-appearance order.
 
     str and bytes (decoded as UTF-8) break into lines as ``splitlines()``
-    breaks them.  An object with ``.read()`` is read whole, and its lines
-    break where iterating it would break them: at ``"\\n"`` only for a
-    binary file or a text file opened in the default newline mode, and at
-    ``"\\r"`` too for a text file opened with ``newline=""``.  Plain
-    text, where every line is blank or holds two tokens of at most 18
-    ASCII digits (with an optional sign) between spaces or tabs, is parsed
-    in bulk with numpy: such tokens always fit int64.  Anything else, and
-    every other iterable, goes through a loop over the lines, which raises
-    ``EdgeListParseError`` with the line number of a malformed line.  Both
-    routes give the same graph.
+    breaks them, and a file as iterating it does.  Plain text, where every
+    line is blank or holds two tokens of at most 18 ASCII digits (with an
+    optional sign) between spaces, tabs or ``"\\r"``, is parsed in bulk
+    with numpy: such tokens always fit int64.  A file takes this path only
+    when its lines broke at every ``"\\n"`` and nowhere else.  Anything
+    else, and every iterable that is not a file, goes through a loop over
+    the lines, which raises ``EdgeListParseError`` with the line number of
+    a malformed line.  Both routes give the same graph.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
-        g = _parse_plain(source, _COMMENT, _PLAIN)
-        return g if g is not None else _parse_lines(source.splitlines())
-    if not hasattr(source, "read"):
-        return _parse_lines(source)
-    data = source.read()
-    if isinstance(data, bytes):
+        lines = source.splitlines()
+        text = "\n".join(lines)
+    elif isinstance(source, io.IOBase):
+        # iterate the file, so its lines break where its newline mode
+        # breaks them
+        lines = []
         try:
-            text = data.decode("utf-8")
+            lines.extend(source)
         except UnicodeDecodeError:
-            # the loop raises it at the line that holds the bad bytes, as
-            # iterating the stream would
-            return _parse_lines(io.BytesIO(data))
+            # a malformed line read before the bad bytes fails first, as
+            # it did when the loop iterated the file
+            _parse_lines(lines)
+            raise
+        text = _file_text(lines)
     else:
-        text = data
-        if "\r" in text and getattr(source, "newlines", None) is not None:
-            # a text stream opened with newline="" breaks lines at \r too
-            g = _parse_plain(text, _COMMENT, _PLAIN)
-            return g if g is not None else _parse_lines(
-                io.StringIO(text, newline=""))
-    g = _parse_plain(text, _STREAM_COMMENT, _PLAIN_STREAM)
-    return g if g is not None else _parse_lines(text.split("\n"))
+        return _parse_lines(source)
+    g = _parse_plain(text) if text is not None else None
+    return g if g is not None else _parse_lines(lines)
 
 
-def _parse_plain(text: str, comment: re.Pattern,
-                 plain: re.Pattern) -> Graph | None:
+def _file_text(lines: list) -> str | None:
+    """The text of a file's lines if they are UTF-8 and broke at every
+    "\n" and nowhere else, or None."""
+    if lines and isinstance(lines[0], bytes):
+        # a binary file breaks lines after b"\n" alone
+        try:
+            return b"".join(lines).decode("utf-8")
+        except UnicodeDecodeError:
+            return None
+    text = "".join(lines)
+    # a text file breaks lines after "\n", or after "\r" in some newline
+    # modes, or not at all; so it broke at every "\n" and nowhere else when
+    # it broke as often as text holds a "\n", and either text holds no
+    # "\r" or every line but the last ends in "\n"
+    if (text.count("\n") == len(lines) - (not text.endswith("\n"))
+            and ("\r" not in text
+                 or all(line.endswith("\n") for line in lines[:-1]))):
+        return text
+    return None
+
+
+def _parse_plain(text: str) -> Graph | None:
     """The graph of text in bulk, or None unless the text is plain once
     its comments are removed."""
     if "#" in text:
-        text = comment.sub("", text)
-    if not plain.fullmatch(text):
+        text = _COMMENT.sub("", text)
+    if (_PLAIN_FIRST_LINE.match(text) is None
+            or _NOT_PLAIN_LINE.search(text) is not None):
         return None
     if not text or text.isspace():  # fromstring would read blanks as [0]
         return Graph._from_edge_keys(0, {}, [])

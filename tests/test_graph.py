@@ -3,6 +3,7 @@ from __future__ import annotations
 import gzip
 import io
 import random
+import re
 
 import pytest
 from hypothesis import example, given, settings
@@ -130,6 +131,10 @@ def edge_list_texts(draw):
     return text
 
 
+# Every newline mode of a text file: each breaks lines in its own places.
+_NEWLINE_MODES = [None, "", "\n", "\r", "\r\n"]
+
+
 @settings(max_examples=500, deadline=None)
 @given(edge_list_texts())
 @example("")
@@ -138,26 +143,30 @@ def edge_list_texts(draw):
 @example("1\x0b2\n3\x0c4\x855\u30006\n")
 @example("# a\r1 2\n#\x0b3 4\n")
 @example("1_000 2\n" + "1" * 19 + " 2\n")
+@example("1 2\n3 4\n")
+@example("1\r2\n3 4")
 def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
                                                       text):
     # a list of lines always takes the line loop, so it is the reference
     data = text.encode("utf-8")
     assert parse_outcome(text) == parse_outcome(text.splitlines())
     assert parse_outcome(data) == parse_outcome(text.splitlines())
-    for make in (lambda: io.StringIO(text),
-                 lambda: io.StringIO(text, newline=None),
-                 lambda: io.StringIO(text, newline=""),
-                 lambda: io.BytesIO(data)):
-        assert parse_outcome(make()) == parse_outcome(list(make()))
+    for newline in _NEWLINE_MODES:
+        assert parse_outcome(io.StringIO(text, newline=newline)) == \
+            parse_outcome(list(io.StringIO(text, newline=newline)))
+    assert parse_outcome(io.BytesIO(data)) == parse_outcome(
+        list(io.BytesIO(data)))
     path = tmp_path_factory.getbasetemp() / "edges.txt"
     path.write_bytes(data)
     gz = path.with_suffix(".txt.gz")
     gz.write_bytes(gzip.compress(data))
-    for target, newline in ((path, None), (path, ""), (gz, None)):
+    for target in (path, gz):
         opener = gzip.open if target == gz else open
-        with opener(target, "rt", encoding="utf-8", newline=newline) as a, \
-                opener(target, "rt", encoding="utf-8", newline=newline) as b:
-            assert parse_outcome(a) == parse_outcome(list(b))
+        modes = [dict(mode="rt", encoding="utf-8", newline=newline)
+                 for newline in _NEWLINE_MODES] + [dict(mode="rb")]
+        for mode in modes:
+            with opener(target, **mode) as a, opener(target, **mode) as b:
+                assert parse_outcome(a) == parse_outcome(list(b))
 
 
 @pytest.mark.parametrize("data", [
@@ -167,6 +176,25 @@ def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
 def test_undecodable_stream_fails_as_its_lines_do(data):
     assert parse_outcome(io.BytesIO(data)) == parse_outcome(
         list(io.BytesIO(data)))
+
+
+def test_malformed_line_fails_before_later_undecodable_bytes(tmp_path):
+    # a text file decodes in chunks: the loop met the bad line first
+    path = tmp_path / "edges.txt"
+    path.write_bytes(b"1 2 3\n" + b"4 5\n" * 5000 + b"\xff\n")
+    with open(path, encoding="utf-8") as fh, pytest.raises(
+            EdgeListParseError) as exc:
+        parse_edge_list(fh)
+    assert exc.value.lineno == 1
+
+
+def test_parser_patterns_compile_on_python_3_10():
+    # possessive quantifiers and atomic groups need Python 3.11
+    patterns = [value.pattern for value in vars(clusterdel.graph).values()
+                if isinstance(value, re.Pattern)]
+    assert patterns
+    for pattern in patterns:
+        assert not re.search(r"[*+?}]\+|\(\?>", pattern), pattern
 
 
 def test_plain_and_snap_text_take_the_bulk_path(monkeypatch, tmp_path):
