@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import io
 import re
+from itertools import chain, islice
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -204,29 +205,57 @@ def parse_edge_list(source) -> Graph:
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
-        lines = source.splitlines()
-        text = "\n".join(lines)
-    elif isinstance(source, io.IOBase):
-        # iterate the file, so its lines break where its newline mode
-        # breaks them
-        lines = []
+        plain = _plain("\n".join(source.splitlines()))
+        return (_parse_plain(plain) if plain is not None
+                else _parse_lines(source.splitlines()))
+    if not isinstance(source, io.IOBase):
+        return _parse_lines(source)
+    text, lines = _read_file(source)
+    plain = _plain(text) if text is not None else None
+    if plain is not None:
+        return _parse_plain(plain)
+    return _parse_lines(lines if text is None else _newline_lines(text))
+
+
+# Lines read from a file at a time.  Few enough that the line objects are
+# freed and their memory reused chunk by chunk: a whole file's lines, held
+# at once, left holes among the graph's objects that slowed later work on
+# the graph by 3-7% on big-mfp.
+_CHUNK_LINES = 4096
+
+
+def _read_file(source) -> tuple[str | None, Iterable | None]:
+    """Read an open file by iterating it, so that its lines break where
+    its newline mode breaks them.  Returns its text if every chunk of
+    lines broke at each "\n" and nowhere else, else None and its lines,
+    the rest of them still unread."""
+    texts: list[str] = []
+    while True:
+        chunk: list = []
         try:
-            lines.extend(source)
+            chunk.extend(islice(source, _CHUNK_LINES))
         except UnicodeDecodeError:
             # a malformed line read before the bad bytes fails first, as
             # it did when the loop iterated the file
-            _parse_lines(lines)
+            _parse_lines(chain(_newline_lines("".join(texts)), chunk))
             raise
-        text = _file_text(lines)
-    else:
-        return _parse_lines(source)
-    g = _parse_plain(text) if text is not None else None
-    return g if g is not None else _parse_lines(lines)
+        if not chunk:
+            return "".join(texts), None
+        text = _file_text(chunk)
+        # only the file's last line may end without a "\n"
+        if text is None or (texts and not texts[-1].endswith("\n")):
+            return None, chain(_newline_lines("".join(texts)), chunk, source)
+        texts.append(text)
+
+
+def _newline_lines(text: str) -> Iterator[str]:
+    """The lines of a text that breaks at each "\n" and nowhere else."""
+    return io.StringIO(text, newline="\n")
 
 
 def _file_text(lines: list) -> str | None:
-    """The text of a file's lines if they are UTF-8 and broke at every
-    "\n" and nowhere else, or None."""
+    """The text of lines read from a file if they are UTF-8 and broke at
+    every "\n" and nowhere else, or None."""
     if lines and isinstance(lines[0], bytes):
         # a binary file breaks lines after b"\n" alone
         try:
@@ -245,14 +274,18 @@ def _file_text(lines: list) -> str | None:
     return None
 
 
-def _parse_plain(text: str) -> Graph | None:
-    """The graph of text in bulk, or None unless the text is plain once
-    its comments are removed."""
+def _plain(text: str) -> str | None:
+    """text without its comments if it is then plain, or None."""
     if "#" in text:
         text = _COMMENT.sub("", text)
     if (_PLAIN_FIRST_LINE.match(text) is None
             or _NOT_PLAIN_LINE.search(text) is not None):
         return None
+    return text
+
+
+def _parse_plain(text: str) -> Graph:
+    """The graph of a plain text without comments, in bulk."""
     if not text or text.isspace():  # fromstring would read blanks as [0]
         return Graph._from_edge_keys(0, {}, [])
     labels, ids = _first_appearance_ids(

@@ -4,6 +4,7 @@ import gzip
 import io
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -136,37 +137,52 @@ _NEWLINE_MODES = [None, "", "\n", "\r", "\r\n"]
 
 
 @settings(max_examples=500, deadline=None)
-@given(edge_list_texts())
-@example("")
-@example(" \t\n\r\n")
-@example("1\r2\n")
-@example("1\x0b2\n3\x0c4\x855\u30006\n")
-@example("# a\r1 2\n#\x0b3 4\n")
-@example("1_000 2\n" + "1" * 19 + " 2\n")
-@example("1 2\n3 4\n")
-@example("1\r2\n3 4")
+@given(edge_list_texts(), st.sampled_from([1, 2, 3, 4096]))
+@example("", 1)
+@example(" \t\n\r\n", 1)
+@example("1\r2\n", 1)
+@example("1\x0b2\n3\x0c4\x855\u30006\n", 2)
+@example("# a\r1 2\n#\x0b3 4\n", 1)
+@example("1_000 2\n" + "1" * 19 + " 2\n", 1)
+@example("1 2\n3 4\n", 4096)
+@example("1\r2\n3 4", 4096)
 def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
-                                                      text):
-    # a list of lines always takes the line loop, so it is the reference
+                                                      text, chunk_lines):
+    # a list of lines always takes the line loop, so it is the reference;
+    # files are read in chunks of chunk_lines lines
     data = text.encode("utf-8")
     assert parse_outcome(text) == parse_outcome(text.splitlines())
     assert parse_outcome(data) == parse_outcome(text.splitlines())
-    for newline in _NEWLINE_MODES:
-        assert parse_outcome(io.StringIO(text, newline=newline)) == \
-            parse_outcome(list(io.StringIO(text, newline=newline)))
-    assert parse_outcome(io.BytesIO(data)) == parse_outcome(
-        list(io.BytesIO(data)))
     path = tmp_path_factory.getbasetemp() / "edges.txt"
     path.write_bytes(data)
     gz = path.with_suffix(".txt.gz")
     gz.write_bytes(gzip.compress(data))
+    makers = [lambda: io.BytesIO(data)]
+    for newline in _NEWLINE_MODES:
+        makers.append(lambda newline=newline: io.StringIO(text,
+                                                          newline=newline))
     for target in (path, gz):
         opener = gzip.open if target == gz else open
         modes = [dict(mode="rt", encoding="utf-8", newline=newline)
                  for newline in _NEWLINE_MODES] + [dict(mode="rb")]
         for mode in modes:
-            with opener(target, **mode) as a, opener(target, **mode) as b:
+            makers.append(lambda opener=opener, target=target, mode=mode:
+                          opener(target, **mode))
+    with mock.patch.object(clusterdel.graph, "_CHUNK_LINES", chunk_lines):
+        for make in makers:
+            with make() as a, make() as b:
                 assert parse_outcome(a) == parse_outcome(list(b))
+
+
+def test_files_are_read_in_chunks_of_lines():
+    # a file longer than one chunk, plain or with an odd line in any chunk
+    lines = [f"{i} {i + 1}\n" for i in range(3 * 4096 + 5)]
+    for odd in (None, 0, 4095, 4096, 9000, len(lines) - 1):
+        text = "".join(lines if odd is None else
+                       lines[:odd] + ["1 2 3\n"] + lines[odd:])
+        for source in (io.StringIO(text), io.BytesIO(text.encode())):
+            expected = parse_outcome(text.splitlines())
+            assert parse_outcome(source) == expected
 
 
 @pytest.mark.parametrize("data", [
