@@ -3,13 +3,13 @@
 pivot strategies, cluster merging and the whole mfp pipeline.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
-resident-memory delta in MiB.  The problem size is the matched wedge
-count for the matcher and for mfp, edges plus open wedges for the LP,
-the stripped graph's edge count for the pivot rows, and the number of
-clusters fed to the merge.  The pivot and merge rows run on the graph
-left after the fast matcher's weak edges are stripped, as the mfp
-pipeline does; the random pivot uses --seed, and the merge input is the
-degree-pivot clustering.  The mfp row times one whole match_flip_pivot
+and the change in current resident memory in MiB.  The problem size is
+the matched wedge count for the matcher and for mfp, edges plus open
+wedges for the LP, the stripped graph's edge count for the pivot rows,
+and the number of clusters fed to the merge.  The pivot and merge rows
+run on the graph left after the fast matcher's weak edges are stripped,
+as the mfp pipeline does; the random pivot uses --seed, and the merge
+input is the degree-pivot clustering.  The mfp row times one whole match_flip_pivot
 call with the degree strategy: matcher, strip, pivot and scoring.
 Sizes default to a quick sweep; --big adds the acceptance-scale
 instances (m around 10^6 for the matcher, and edges plus open wedges
@@ -33,6 +33,7 @@ from __future__ import annotations
 import argparse
 import gc
 import json
+import os
 import platform
 import subprocess
 import sys
@@ -67,10 +68,13 @@ CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "rss_delta_mib")
 
 
 def rss_bytes() -> int:
+    """Current resident set size: resident pages times the page size from
+    /proc/self/statm.  Where /proc is missing, the peak (ru_maxrss), so a
+    delta there reads 0 unless the step raises the peak."""
     try:
-        import psutil
-        return psutil.Process().memory_info().rss
-    except ImportError:
+        with open("/proc/self/statm") as fh:
+            return int(fh.read().split()[1]) * os.sysconf("SC_PAGE_SIZE")
+    except OSError:
         import resource
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 

@@ -57,7 +57,7 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_edge_u",
-                 "_edge_v", "_edge_keys")
+                 "_edge_v", "_keys")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None,
@@ -65,7 +65,8 @@ class Graph:
         # edge_u/edge_v must already be canonical (u < v), deduplicated,
         # self-loop free, in edge-id order.  Use from_edges/parse_edge_list.
         # edge_keys, when given, must hold exactly the packed keys of the
-        # edges; the graph takes ownership of it.
+        # edges; the graph takes ownership of it.  Otherwise the key index
+        # is built when first probed.
         self.n = n
         self.m = int(len(edge_u))
         self.labels = labels
@@ -83,9 +84,14 @@ class Graph:
             np.cumsum(counts, out=self._indptr[1:])
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
-        if edge_keys is None:
-            edge_keys = dict.fromkeys(((edge_u << _SHIFT) | edge_v).tolist())
-        self._edge_keys = edge_keys
+        self._keys = edge_keys
+
+    @property
+    def _edge_keys(self) -> dict[int, None]:
+        """The key index: each edge's packed key, in edge-id order."""
+        if self._keys is None:
+            self._keys = dict.fromkeys(self.packed_edges())
+        return self._keys
 
     @property
     def id_map(self) -> dict[int, int] | None:
@@ -126,7 +132,10 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        return pack_edge(u, v) in self._edge_keys
+        keys = self._keys
+        if keys is None:
+            keys = self._edge_keys
+        return pack_edge(u, v) in keys
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in edge-id order."""
@@ -162,7 +171,8 @@ class Graph:
 
     def keep_edges(self, keep: np.ndarray) -> "Graph":
         """Copy of the graph with only the edges marked in keep, a boolean
-        array over edge ids."""
+        array over edge ids.  The copy builds its key index only if it is
+        probed."""
         return Graph(self.n, self._edge_u[keep], self._edge_v[keep],
                      labels=self.labels)
 

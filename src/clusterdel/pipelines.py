@@ -24,7 +24,8 @@ from time import perf_counter
 import numpy as np
 
 from .graph import Graph, InvariantError
-from .pivoting import Clustering, PivotAudit, PivotStrategy, pivot
+from .pivoting import (Clustering, PivotAudit, PivotStrategy,
+                       adjacency_lists, pivot_lists)
 from .stc import DEFAULT_ARC_BUDGET, labeling_from_lp, solve_stc_lp
 from .wedges import WedgeSet, maximal_wedge_set_fast
 
@@ -101,11 +102,19 @@ class CDResult:
                 "runtime_ms": dict(self.runtime_ms)}
 
 
+@dataclass
+class _Preparation:
+    """Stage 1, shared by every pivot run on one input: the certificate,
+    the adjacency lists of the graph stripped of its weak edges (which
+    each pivot only reads), and the milliseconds both took."""
+
+    cert: Certificate
+    adj: list[list[int]]
+    ms: float
+
+
 def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
-             wedge_set: WedgeSet | None = None
-             ) -> tuple[Certificate, Graph, float]:
-    """Stage 1, shared by every pivot run: the certificate, the graph
-    stripped of its weak edges, and the milliseconds both took."""
+             wedge_set: WedgeSet | None = None) -> _Preparation:
     t0 = perf_counter()
     if algorithm == "mfp":
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
@@ -121,7 +130,8 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     cert = Certificate(algorithm, wedges, lp_half, lower_bound, weak,
                        weak_mask, values)
-    return cert, g.keep_edges(~weak_mask), (perf_counter() - t0) * 1000.0
+    adj = adjacency_lists(g.keep_edges(~weak_mask))
+    return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
 
 
 def _score(g: Graph, cert: Certificate, clustering: Clustering,
@@ -174,26 +184,27 @@ def _score(g: Graph, cert: Certificate, clustering: Clustering,
         runtime_ms=runtime_ms, certificate=cert)
 
 
-def _finish(g: Graph, cert: Certificate, ghat: Graph, lb_ms: float,
+def _finish(g: Graph, prep: _Preparation,
             strategy: PivotStrategy) -> CDResult:
     t0 = perf_counter()
-    clustering, audit = pivot(ghat, strategy)
+    clustering, audit = pivot_lists(prep.adj, strategy)
     pivot_ms = (perf_counter() - t0) * 1000.0
-    runtime_ms = {"lower_bound": lb_ms, "pivot": pivot_ms, "merge": None}
-    return _score(g, cert, clustering, audit, strategy, False, runtime_ms)
+    runtime_ms = {"lower_bound": prep.ms, "pivot": pivot_ms, "merge": None}
+    return _score(g, prep.cert, clustering, audit, strategy, False,
+                  runtime_ms)
 
 
 def match_flip_pivot(g: Graph, strategy: PivotStrategy,
                      wedge_set: WedgeSet | None = None) -> CDResult:
     """Match a maximal wedge set, strip its legs, pivot.  An explicit
     wedge_set is used in place of a computed one (for tests)."""
-    return _finish(g, *_prepare(g, "mfp", wedge_set=wedge_set), strategy)
+    return _finish(g, _prepare(g, "mfp", wedge_set=wedge_set), strategy)
 
 
 def stc_lp_round(g: Graph, strategy: PivotStrategy,
                  arc_budget: int = DEFAULT_ARC_BUDGET) -> CDResult:
     """Solve the STC relaxation, strip edges at weakness >= 1/2, pivot."""
-    return _finish(g, *_prepare(g, "stclp", arc_budget), strategy)
+    return _finish(g, _prepare(g, "stclp", arc_budget), strategy)
 
 
 def best_of_random(g: Graph, trials: int, base_seed: int = 0,
@@ -210,7 +221,7 @@ def best_of_random(g: Graph, trials: int, base_seed: int = 0,
     total_deletions = 0
     total_ratio = 0.0
     for i in range(trials):
-        res = _finish(g, *prep, PivotStrategy.random(base_seed + i))
+        res = _finish(g, prep, PivotStrategy.random(base_seed + i))
         total_deletions += res.deletions
         if res.ratio is not None:
             total_ratio += float(res.ratio)

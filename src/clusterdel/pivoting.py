@@ -14,11 +14,20 @@ Strategies:
           (lowest id on ties)
   random  pick uniformly among live nodes, seeded
 
-``pivot`` reads the adjacency as Python lists, built once per call, and
-counts the audit while it removes a cluster: every live neighbour a
-member still has is a boundary edge, and every neighbour already
-assigned to the new cluster is an internal edge.  All three strategies
-share that loop and differ only in their selector.
+``pivot_lists`` pivots a graph given as Python adjacency lists, which it
+only reads.  The pipelines build the stripped graph's lists once per
+preparation, and every pivot of that preparation reads them: one per
+strategy, and every trial of best-of-T.  ``pivot`` builds them for a
+single call.  The audit is counted while a cluster is removed: every live
+neighbour a member still has is a boundary edge, and every neighbour
+already assigned to the new cluster is an internal edge.  A pivot of live
+degree 0 becomes a singleton without that pass.  All three strategies
+share the loop and differ only in their selector.
+
+The degree selector keeps one int key per heap entry, (top - live
+degree) * n + id, for the top initial degree.  Once the top live degree
+is 0, it hands out the remaining live nodes in id order in one scan,
+which is the order its heap would pop them in.
 
 The ratio selector keeps every live node's exact key in a lazy min-heap.
 Removing a cluster changes (|B_k|, |N_k|) only for nodes within distance
@@ -26,6 +35,13 @@ Removing a cluster changes (|B_k|, |N_k|) only for nodes within distance
 the cluster and their live neighbours.  A node's score costs the sum of
 its live neighbours' degrees, so a round costs that sum over the dirty
 set instead of over every live node.
+
+The random selector draws an index into a list of candidates with
+``randrange``'s own steps inlined (getrandbits of n.bit_length() bits,
+redrawn while out of range), so a seed picks the same nodes as it always
+has.  A dead candidate stays in the list until a draw lands on it, which
+costs one more draw; removing candidates as they die would change which
+node a seed picks.
 """
 
 from __future__ import annotations
@@ -83,30 +99,56 @@ class PivotAudit:
 
 
 class _DegreeSelector:
-    """Lazy max-heap keyed (live degree, id); entries go stale as degrees
-    drop and are discarded at pop time."""
+    """Lazy min-heap of int keys (top - live degree) * n + id, which order
+    as (live degree descending, id ascending); entries go stale as degrees
+    drop and are discarded at pop time.
+
+    Once the top live degree is 0, no degree changes again and the heap
+    would pop the live nodes in id order, so the selector drops it and
+    scans them in one pass."""
 
     def __init__(self, alive: bytearray, live_deg: list[int]):
         self.alive = alive
         self.live_deg = live_deg
-        self.heap = [(-d, v) for v, d in enumerate(live_deg)]
+        self.n = n = len(live_deg)
+        self.top = top = max(live_deg, default=0)
+        self.heap: list[int] | None = [(top - d) * n + v
+                                       for v, d in enumerate(live_deg)]
         heapq.heapify(self.heap)
+        self.cursor = 0
 
     def pop(self) -> int:
         alive = self.alive
-        live_deg = self.live_deg
         heap = self.heap
-        while True:
-            d, v = heap[0]
-            if alive[v] and live_deg[v] == -d:
-                return v
-            heapq.heappop(heap)
+        if heap is not None:
+            live_deg = self.live_deg
+            n = self.n
+            top = self.top
+            while True:
+                key = heap[0]
+                v = key % n
+                if alive[v] and key == (top - live_deg[v]) * n + v:
+                    if live_deg[v]:
+                        return v
+                    # v has the lowest id among the live nodes, all of
+                    # live degree 0
+                    self.heap = None
+                    self.cursor = v
+                    return v
+                heapq.heappop(heap)
+        v = self.cursor
+        while not alive[v]:
+            v += 1
+        self.cursor = v
+        return v
 
     def degrees_changed(self, touched: list[int]) -> None:
         live_deg = self.live_deg
         heap = self.heap
+        n = self.n
+        top = self.top
         for w in touched:
-            heapq.heappush(heap, (-live_deg[w], w))
+            heapq.heappush(heap, (top - live_deg[w]) * n + w)
 
 
 class _RatioKey:
@@ -191,36 +233,53 @@ class _RatioSelector:
 
 
 class _RandomSelector:
+    """Uniform draws from a list of candidates; a dead candidate stays in
+    the list until a draw lands on it, and is then swapped out."""
+
     def __init__(self, alive: bytearray, seed: int):
         self.alive = alive
-        self.rng = random.Random(seed)
+        self.getrandbits = random.Random(seed).getrandbits
         self.live = list(range(len(alive)))
 
     def pop(self) -> int:
         live = self.live
         alive = self.alive
-        randrange = self.rng.randrange
+        getrandbits = self.getrandbits
         while True:
-            idx = randrange(len(live))
+            # randrange(n) as CPython draws it (_randbelow_with_getrandbits)
+            n = len(live)
+            k = n.bit_length()
+            idx = getrandbits(k)
+            while idx >= n:
+                idx = getrandbits(k)
             v = live[idx]
             if alive[v]:
                 return v
-            # compact: drop dead nodes as we stumble on them
             last = live.pop()
-            if idx < len(live):
+            if idx < n - 1:
                 live[idx] = last
 
     def degrees_changed(self, touched: list[int]) -> None:
         pass
 
 
-def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
-    """Cluster g by repeated pivoting; returns the clustering and audit."""
-    n = g.n
+def adjacency_lists(g: Graph) -> list[list[int]]:
+    """g's sorted neighbour lists as Python lists, indexed by node id."""
     indptr = g._indptr.tolist()
     flat = g._nbrs.tolist()
-    adj = [flat[indptr[v]:indptr[v + 1]] for v in range(n)]
-    del flat
+    return [flat[indptr[v]:indptr[v + 1]] for v in range(g.n)]
+
+
+def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
+    """Cluster g by repeated pivoting; returns the clustering and audit."""
+    return pivot_lists(adjacency_lists(g), strategy)
+
+
+def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
+                ) -> tuple[Clustering, PivotAudit]:
+    """``pivot`` on a graph given by its adjacency lists.  The lists are
+    only read, so one set of them serves any number of calls."""
+    n = len(adj)
     alive = bytearray(b"\x01") * n
     live_deg = [len(a) for a in adj]
     if strategy.kind == "degree":
@@ -237,9 +296,17 @@ def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
     left = n
     while left:
         k = selector.pop()
+        cid = len(clusters)
+        if not live_deg[k]:
+            # a singleton: no members, no audit counts, no degree changes
+            alive[k] = 0
+            assignment[k] = cid
+            clusters.append([k])
+            per_iteration.append((k, 0, 0))
+            left -= 1
+            continue
         members = [u for u in adj[k] if alive[u]]
         cluster = sorted(members + [k])
-        cid = len(clusters)
         for v in cluster:
             alive[v] = 0
             assignment[v] = cid

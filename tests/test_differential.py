@@ -10,10 +10,12 @@ Each must give exactly what its reference gives:
   the pairwise scan, for one, two or unlimited passes;
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
-- the preparation: the weak set, weak mask and stripped graph of taking
-  the weak edges as a packed-key set (by an edge loop over the relaxation
-  values on stclp), searching it back into a mask in key order, and
-  copying the graph without them.
+- the preparation: the weak set, weak mask and stripped graph's
+  adjacency lists of taking the weak edges as a packed-key set (by an
+  edge loop over the relaxation values on stclp), searching it back into
+  a mask in key order, and copying the graph without them;
+- best-of-T: every trial, though all of them pivot one prepared set of
+  adjacency lists, equals an independent pipeline call with its seed.
 """
 from __future__ import annotations
 
@@ -22,8 +24,10 @@ import random
 import pytest
 
 from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
-                        match_flip_pivot, maximal_wedge_set_fast,
-                        merge_clusters, pivot, solve_stc_lp, stc_lp_round)
+                        best_of_random, match_flip_pivot,
+                        maximal_wedge_set_fast, merge_clusters, pivot,
+                        solve_stc_lp, stc_lp_round)
+from clusterdel import pipelines
 from clusterdel.pipelines import _prepare
 from helpers import (maximal_wedge_set_by_cursor, merge_clusters_pairwise,
                      pivot_by_residual_graph, planted_clusters,
@@ -97,14 +101,38 @@ def assert_same_preparation(g: Graph) -> None:
     for algorithm, keys in (
             ("mfp", maximal_wedge_set_fast(g).weak_edges),
             ("stclp", weak_keys_by_edge_loop(solve_stc_lp(g)))):
-        cert, ghat, _ = _prepare(g, algorithm)
+        prep = _prepare(g, algorithm)
+        cert = prep.cert
         mask, stripped = split_by_sorted_search(g, keys)
         assert cert.weak_set == keys
         assert cert.weak_mask.dtype == bool
         assert cert.weak_mask.tolist() == mask.tolist()
+        assert prep.adj == [stripped.neighbors(v).tolist()
+                            for v in range(g.n)]
+        # the copy the preparation strips with
+        ghat = g.keep_edges(~cert.weak_mask)
         assert (ghat.n, ghat.labels) == (stripped.n, stripped.labels)
         assert ghat.packed_edges() == stripped.packed_edges()
         assert list(ghat._edge_keys) == stripped.packed_edges()
+
+
+def assert_same_trials(g: Graph, trials: int = 3) -> None:
+    for algorithm, pipeline in (("mfp", match_flip_pivot),
+                                ("stclp", stc_lp_round)):
+        runs = []
+        finish = pipelines._finish
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(pipelines, "_finish", lambda *args: runs.append(
+                finish(*args)) or runs[-1])
+            best_of_random(g, trials, g.n, algorithm)
+        assert [r.seed for r in runs] == list(range(g.n, g.n + trials))
+        for run in runs:
+            alone = pipeline(g, PivotStrategy.random(run.seed))
+            assert run.clustering.clusters == alone.clustering.clusters
+            assert run.audit.per_iteration == alone.audit.per_iteration
+            got, want = run.to_json_dict(), alone.to_json_dict()
+            del got["runtime_ms"], want["runtime_ms"]
+            assert got == want
 
 
 def assert_same_as_references(g: Graph) -> None:
@@ -120,6 +148,7 @@ def assert_same_as_references(g: Graph) -> None:
     assert_same_merges(g, g)
     assert_same_scores(g)
     assert_same_preparation(g)
+    assert_same_trials(g)
 
 
 def test_acceptance_corpus():
@@ -152,6 +181,18 @@ def test_hub_touching_every_clique():
     g = Graph.from_edges(1 + k * s, edges)
     _, audit = pivot(g, PivotStrategy.ratio())
     assert audit.per_iteration[0][0] == 0
+    assert_same_as_references(g)
+
+
+def test_degree_pivot_with_isolated_nodes():
+    # 0, 4 and 9 are isolated from the start; the hub 6 pivots first and
+    # leaves the pendants 2, 5, 11 and 13 isolated, and once 7-8 is gone
+    # every live node has live degree 0
+    g = Graph.from_edges(14, [(6, 1), (6, 3), (6, 10), (6, 12), (1, 2),
+                              (3, 5), (10, 11), (12, 13), (7, 8)])
+    _, audit = pivot(g, PivotStrategy.degree())
+    assert [k for k, _, _ in audit.per_iteration] == [6, 7, 0, 2, 4, 5, 9,
+                                                      11, 13]
     assert_same_as_references(g)
 
 

@@ -232,9 +232,10 @@ def test_wedge_injection_overrides_matcher():
 
 
 def _patch_pivot(monkeypatch, tamper):
-    real = pipelines.pivot
-    monkeypatch.setattr(pipelines, "pivot",
-                        lambda g, strategy: tamper(*real(g, strategy)))
+    # the pipelines pivot the prepared adjacency lists with pivot_lists
+    real = pipelines.pivot_lists
+    monkeypatch.setattr(pipelines, "pivot_lists",
+                        lambda adj, strategy: tamper(*real(adj, strategy)))
 
 
 def test_score_rejects_non_clique_cluster(monkeypatch):

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -12,6 +14,7 @@ from clusterdel import (
     er_graph,
     pivot,
 )
+from clusterdel.pivoting import _RandomSelector
 from helpers import cut_deletions
 
 
@@ -78,6 +81,23 @@ def test_random_is_deterministic_per_seed():
     c2, a2 = pivot(g, PivotStrategy.random(11))
     assert c1.clusters == c2.clusters
     assert a1.per_iteration == a2.per_iteration
+
+
+# sizes around every power of two up to 2^20 + 1, where the draw's bit
+# count and rejection rate change
+DRAW_SIZES = list(range(1, 71)) + [n for k in range(7, 21)
+                                   for n in (2**k - 1, 2**k, 2**k + 1)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 61, 2**40 + 3])
+def test_random_draws_match_randrange(seed):
+    # with every node live, each pop is one randrange(n) of the seed's
+    # generator, so the selector must pick what randrange picks
+    for n in DRAW_SIZES:
+        selector = _RandomSelector(bytearray(b"\x01") * n, seed)
+        rng = random.Random(seed)
+        assert ([selector.pop() for _ in range(25)]
+                == [rng.randrange(n) for _ in range(25)]), n
 
 
 def test_empty_graph():
