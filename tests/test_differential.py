@@ -121,9 +121,13 @@ def assert_same_trials(g: Graph, trials: int = 3) -> None:
                                 ("stclp", stc_lp_round)):
         runs = []
         finish = pipelines._finish
+
+        def record(*args):
+            runs.append(finish(*args))
+            return runs[-1]
+
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(pipelines, "_finish", lambda *args: runs.append(
-                finish(*args)) or runs[-1])
+            mp.setattr(pipelines, "_finish", record)
             best_of_random(g, trials, g.n, algorithm)
         assert [r.seed for r in runs] == list(range(g.n, g.n + trials))
         for run in runs:
