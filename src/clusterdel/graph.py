@@ -169,6 +169,11 @@ class Graph:
             mask[order] = drop[pos] == sorted_keys
         return mask
 
+    def masked_keys(self, mask: np.ndarray) -> set[int]:
+        """Packed keys of the edges marked in mask: inverts edge_mask."""
+        keys = (self._edge_u[mask] << _SHIFT) | self._edge_v[mask]
+        return set(keys.tolist())
+
     def keep_edges(self, keep: np.ndarray) -> "Graph":
         """Copy of the graph with only the edges marked in keep, a boolean
         array over edge ids.  The copy builds its key index only if it is

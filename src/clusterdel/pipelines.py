@@ -26,24 +26,24 @@ import numpy as np
 from .graph import Graph, InvariantError
 from .pivoting import (Clustering, PivotAudit, PivotStrategy,
                        adjacency_lists, pivot_lists)
-from .stc import DEFAULT_ARC_BUDGET, labeling_from_lp, solve_stc_lp
+from .stc import DEFAULT_ARC_BUDGET, solve_stc_lp
 from .wedges import WedgeSet, maximal_wedge_set_fast
 
 
 @dataclass
 class Certificate:
-    """A certified lower bound and the weak edge set it strips (results
-    keep this for rescoring, never the stripped graph)."""
+    """A certified lower bound on graph and its weak edges E_W, held only
+    as a mask (results keep this for rescoring, never the stripped graph)."""
 
     algorithm: str
+    graph: Graph
     wedges: int | None
     lp_value_half_units: int | None
     lower_bound_half_units: int
-    weak_set: set[int]
-    # weak_mask[e]: edge e of the input graph is in weak_set
+    # weak_mask[e]: edge e of graph is in E_W
     weak_mask: np.ndarray
     # stclp: the relaxation's values by edge id, in half-units
-    values: list[int] | None
+    values: np.ndarray | None
 
 
 @dataclass
@@ -77,7 +77,8 @@ class CDResult:
 
     @property
     def weak_set(self) -> set[int]:
-        return self.certificate.weak_set
+        """E_W as packed keys, in a new set on each read."""
+        return self.certificate.graph.masked_keys(self.certificate.weak_mask)
 
     def to_json_dict(self) -> dict:
         if self.ratio is None:
@@ -119,16 +120,15 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
     if algorithm == "mfp":
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
         wedges, lp_half, values = len(ws.wedges), None, None
-        weak, lower_bound = set(ws.weak_edges), 2 * len(ws.wedges)
-        weak_mask = g.edge_mask(weak)
+        lower_bound, weak_mask = 2 * wedges, g.edge_mask(ws.weak_edges)
     elif algorithm == "stclp":
         sol = solve_stc_lp(g, arc_budget)
-        wedges, lp_half, values = None, sol.objective_half_units, sol.values
-        weak, lower_bound = labeling_from_lp(sol), sol.objective_half_units
-        weak_mask = np.array(values, dtype=np.int64) >= 1
+        wedges, lp_half = None, sol.objective_half_units
+        values = np.array(sol.values, dtype=np.int64)
+        lower_bound, weak_mask = sol.objective_half_units, values >= 1
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    cert = Certificate(algorithm, wedges, lp_half, lower_bound, weak,
+    cert = Certificate(algorithm, g, wedges, lp_half, lower_bound,
                        weak_mask, values)
     adj = adjacency_lists(g.keep_edges(~weak_mask))
     return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
@@ -137,20 +137,19 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
 def _score(g: Graph, cert: Certificate, clustering: Clustering,
            audit: PivotAudit, strategy: PivotStrategy,
            merged: bool, runtime_ms: dict[str, float | None]) -> CDResult:
-    weak = cert.weak_set
-    values = cert.values
+    weak, values = cert.weak_mask, cert.values
     assignment = np.array(clustering.assignment, dtype=np.int64)
     cut = assignment[g._edge_u] != assignment[g._edge_v]
-    cut_weak = cut & cert.weak_mask
+    cut_weak = cut & weak
     deletions = int(np.count_nonzero(cut))
+    weak_edges = int(np.count_nonzero(weak))
     m_w = int(np.count_nonzero(cut_weak))
     m_s = deletions - m_w
-    m_1 = b_half = n_half = 0
+    m_1 = b_half = n_half = None
     if values is not None:
-        vals = np.array(values, dtype=np.int64)
-        m_1 = int(np.count_nonzero(cut_weak & (vals == 2)))
+        m_1 = int(np.count_nonzero(cut_weak & (values == 2)))
         b_half = m_w - m_1
-        n_half = int(np.count_nonzero(cert.weak_mask & ~cut & (vals == 1)))
+        n_half = int(np.count_nonzero(weak & ~cut & (values == 1)))
     # every cluster must be a clique of g
     internal_pairs = sum(len(c) * (len(c) - 1) // 2
                          for c in clustering.clusters)
@@ -163,21 +162,18 @@ def _score(g: Graph, cert: Certificate, clustering: Clustering,
             raise InvariantError(
                 f"{m_s} strong deletions != {audit.boundary_edges} "
                 "audited boundary edges")
-        if len(weak) - m_w != audit.internal_nonedges:
+        if weak_edges - m_w != audit.internal_nonedges:
             raise InvariantError(
-                f"{len(weak) - m_w} kept weak edges != "
+                f"{weak_edges - m_w} kept weak edges != "
                 f"{audit.internal_nonedges} audited internal non-edges")
     lb = cert.lower_bound_half_units
     ratio = Fraction(2 * deletions, lb) if lb > 0 else None
     return CDResult(
         algorithm=cert.algorithm, strategy=strategy.kind,
         seed=strategy.seed, n=g.n, m=g.m, wedges=cert.wedges,
-        weak_edges=len(weak), lp_value_half_units=cert.lp_value_half_units,
+        weak_edges=weak_edges, lp_value_half_units=cert.lp_value_half_units,
         deletions=deletions, lower_bound_half_units=lb, ratio=ratio,
-        m_w=m_w, m_s=m_s,
-        m_1=m_1 if values is not None else None,
-        b_half=b_half if values is not None else None,
-        n_half=n_half if values is not None else None,
+        m_w=m_w, m_s=m_s, m_1=m_1, b_half=b_half, n_half=n_half,
         boundary_edges=audit.boundary_edges,
         internal_nonedges=audit.internal_nonedges,
         clustering=clustering, audit=audit, merged=merged,

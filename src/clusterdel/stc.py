@@ -203,6 +203,4 @@ def solve_stc_lp(g: Graph,
 
 def labeling_from_lp(sol: HalfIntegralSolution) -> set[int]:
     """Weak-edge set (packed pair keys): edges with weakness >= one half."""
-    g = sol.graph
-    weak = np.array(sol.values, dtype=np.int64) >= 1
-    return set(((g._edge_u[weak] << 32) | g._edge_v[weak]).tolist())
+    return sol.graph.masked_keys(np.array(sol.values, dtype=np.int64) >= 1)

@@ -104,7 +104,8 @@ def assert_same_preparation(g: Graph) -> None:
         prep = _prepare(g, algorithm)
         cert = prep.cert
         mask, stripped = split_by_sorted_search(g, keys)
-        assert cert.weak_set == keys
+        assert cert.graph is g
+        assert g.masked_keys(cert.weak_mask) == keys
         assert cert.weak_mask.dtype == bool
         assert cert.weak_mask.tolist() == mask.tolist()
         assert prep.adj == [stripped.neighbors(v).tolist()

@@ -329,6 +329,8 @@ def test_drop_edges_matches_comprehension(seed):
         assert_key_index_is_packed_edges(got)
         assert all(got.neighbors(v).tolist() == want.neighbors(v).tolist()
                    for v in range(g.n))
+        # masked_keys inverts edge_mask on the keys of present edges
+        assert g.masked_keys(g.edge_mask(drop)) == drop & set(keys)
 
 
 @pytest.mark.parametrize("seed", range(8))

@@ -15,8 +15,10 @@ from clusterdel import (
     apply_merge,
     best_of_random,
     er_graph,
+    labeling_from_lp,
     match_flip_pivot,
     merge_clusters,
+    solve_stc_lp,
     stc_lp_round,
     tight_instance,
 )
@@ -229,6 +231,31 @@ def test_wedge_injection_overrides_matcher():
     assert res.wedges == q
     assert res.weak_edges == ws.weak_count
     assert res.weak_set == ws.weak_edges
+
+
+def test_stclp_weak_set_is_the_lp_labeling():
+    for g in (tight_instance(8)[0], er_graph(30, 0.2, seed=3)):
+        res = stc_lp_round(g, PivotStrategy.ratio())
+        assert res.weak_set == labeling_from_lp(solve_stc_lp(g))
+        assert res.weak_edges == len(res.weak_set)
+
+
+@pytest.mark.parametrize("pipeline", [match_flip_pivot, stc_lp_round])
+def test_mutating_weak_set_changes_nothing(pipeline):
+    g = er_graph(40, 0.15, seed=2)
+    res = pipeline(g, PivotStrategy.degree())
+    weak_set, weak_edges = set(res.weak_set), res.weak_edges
+    assert weak_set
+    merged = apply_merge(g, res).to_json_dict()
+    del merged["runtime_ms"]
+    res.weak_set.clear()
+    assert res.weak_set == weak_set
+    assert res.weak_edges == weak_edges
+    again = apply_merge(g, res)
+    assert again.weak_edges == weak_edges
+    got = again.to_json_dict()
+    del got["runtime_ms"]
+    assert got == merged
 
 
 def _patch_pivot(monkeypatch, tamper):
