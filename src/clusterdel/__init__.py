@@ -8,7 +8,7 @@ clique of the input, and the certified bound caps deletions at 3x optimum.
 
 from .generators import er_graph, tight_instance
 from .graph import (EdgeListParseError, Graph, InvariantError, pack_edge,
-                    parse_edge_list, serialize_edge_list, unpack_edge)
+                    parse_edge_list, serialize_edge_list)
 from .pipelines import (CDResult, apply_merge, best_of_random,
                         match_flip_pivot, merge_clusters, stc_lp_round)
 from .pivoting import (Clustering, PivotAudit, PivotStrategy,
@@ -24,5 +24,5 @@ __all__ = [
     "best_of_random", "clustering_lines", "er_graph", "labeling_from_lp",
     "match_flip_pivot", "maximal_wedge_set_fast", "merge_clusters",
     "pack_edge", "parse_edge_list", "pivot", "serialize_edge_list",
-    "solve_stc_lp", "stc_lp_round", "tight_instance", "unpack_edge",
+    "solve_stc_lp", "stc_lp_round", "tight_instance",
 ]

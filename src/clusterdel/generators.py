@@ -32,7 +32,7 @@ def tight_instance(n: int) -> tuple[Graph, WedgeSet, int]:
         wedges.append(OpenWedge(min(i, q + j), max(i, q + j), j))
         weak.add(pack_edge(i, j))
         weak.add(pack_edge(j, q + j))
-    return g, WedgeSet(wedges, weak), q
+    return g, WedgeSet(g, wedges, g.edge_mask(weak)), q
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

@@ -9,9 +9,9 @@ graph.  Node labels are compacted
 to dense internal ids in first-appearance order; original labels are kept
 so clusterings can be written back in terms of the input file.  An edge's
 id is its position 0..m-1 in first-appearance order, which indexes
-per-edge arrays such as relaxation values and weak masks.  A key index of
-packed endpoint pairs answers membership for the wedge matcher and
-``has_edge``.
+per-edge arrays such as relaxation values and weak masks; each CSR slot
+records the id of its edge.  A key index of packed endpoint pairs answers
+membership for the wedge matcher and ``has_edge``.
 """
 
 from __future__ import annotations
@@ -32,10 +32,6 @@ def pack_edge(u: int, v: int) -> int:
     return (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
 
 
-def unpack_edge(key: int) -> tuple[int, int]:
-    return key >> _SHIFT, key & _MASK
-
-
 class EdgeListParseError(ValueError):
     """Malformed edge-list input.  Carries the 1-based line number."""
 
@@ -51,13 +47,12 @@ class InvariantError(RuntimeError):
 class Graph:
     """Immutable undirected simple graph with sorted CSR adjacency.
 
-    ``labels`` maps internal id -> original label, and the ``id_map``
-    property inverts it; both are None for graphs whose nodes are already
-    dense ints.
+    ``labels`` maps internal id -> original label; it is None for graphs
+    whose nodes are already dense ints.
     """
 
-    __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_edge_u",
-                 "_edge_v", "_keys")
+    __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_slot_eid",
+                 "_edge_u", "_edge_v", "_keys")
 
     def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None,
@@ -80,10 +75,14 @@ class Graph:
             # them orders the slots as a lexsort by row then col would
             order = np.argsort((rows << _SHIFT) | cols)
             self._nbrs = cols[order]
+            # slot s came from position order[s] of rows, which holds an
+            # endpoint of edge order[s] % m
+            self._slot_eid = np.remainder(order, self.m, out=order)
             counts = np.bincount(rows, minlength=n)
             np.cumsum(counts, out=self._indptr[1:])
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
+            self._slot_eid = np.zeros(0, dtype=np.int64)
         self._keys = edge_keys
 
     @property
@@ -92,13 +91,6 @@ class Graph:
         if self._keys is None:
             self._keys = dict.fromkeys(self.packed_edges())
         return self._keys
-
-    @property
-    def id_map(self) -> dict[int, int] | None:
-        """Original label -> internal id, derived from ``labels``."""
-        if self.labels is None:
-            return None
-        return {label: v for v, label in enumerate(self.labels)}
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],

@@ -120,7 +120,7 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
     if algorithm == "mfp":
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
         wedges, lp_half, values = len(ws.wedges), None, None
-        lower_bound, weak_mask = 2 * wedges, g.edge_mask(ws.weak_edges)
+        lower_bound, weak_mask = 2 * wedges, ws.weak_mask
     elif algorithm == "stclp":
         sol = solve_stc_lp(g, arc_budget)
         wedges, lp_half = None, sol.objective_half_units
@@ -314,6 +314,8 @@ def apply_merge(g: Graph, result: CDResult,
                 budget_ms: float | None = None) -> CDResult:
     """Post-process a pipeline result with clique-preserving merges and
     rescore it; the pivot-stage audit fields carry over unchanged."""
+    if g is not result.certificate.graph:
+        raise ValueError("g is not the graph the result was computed on")
     t0 = perf_counter()
     merged = merge_clusters(g, result.clustering, budget_ms=budget_ms)
     merge_ms = (perf_counter() - t0) * 1000.0

@@ -65,15 +65,10 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
         return [0], []
     indptr = g._indptr
     nbrs = g._nbrs
-    keys = (g._edge_u << 32) | g._edge_v
-    by_key = np.argsort(keys)
-    sorted_keys = keys[by_key]
+    sorted_keys = np.sort((g._edge_u << 32) | g._edge_v)
     # slot s of the CSR holds neighbour nbrs[s] of center row_of[s]
     deg = np.diff(indptr)
     row_of = np.repeat(np.arange(g.n, dtype=np.int64), deg)
-    slot_keys = ((np.minimum(row_of, nbrs) << 32)
-                 | np.maximum(row_of, nbrs))
-    slot_eid = by_key[np.searchsorted(sorted_keys, slot_keys)]
     # slot s pairs with every later slot of its row
     pairs_at = indptr[row_of + 1] - np.arange(2 * m) - 1
     pairs_upto = np.cumsum(pairs_at)
@@ -102,8 +97,8 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
             # the count at which a wedge-by-wedge build would have stopped
             raise ArcBudgetError(arc_budget + 2 - (arc_budget - 2 * m) % 2,
                                  arc_budget)
-        legs_a.append(slot_eid[first[is_open]])
-        legs_b.append(slot_eid[second[is_open]])
+        legs_a.append(g._slot_eid[first[is_open]])
+        legs_b.append(g._slot_eid[second[is_open]])
     tails = np.concatenate(legs_a + legs_b)
     heads = np.concatenate(legs_b + legs_a)
     ptr = np.zeros(m + 1, dtype=np.int64)

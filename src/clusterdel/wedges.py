@@ -4,11 +4,11 @@ The matcher produces a maximal set W of open wedges no two of which share
 an edge, by a skip-list sweep that touches each neighbor pair at most once
 per center.  The two edges of every matched wedge form the weak set E_W;
 maximality means every open wedge of the graph loses at least one edge to
-E_W.
+E_W.  It is held as a mask over the graph's edge ids.
 
 The matcher is the pipelines' hot loop, so its skip list lives in local
-variables and it tests closure by looking the packed pair up in the
-graph's key index directly.
+variables, it tests closure in the graph's key index directly, and it
+marks each leg by the edge id that the leg's CSR slot records.
 """
 
 from __future__ import annotations
@@ -16,6 +16,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
+
+import numpy as np
 
 from .graph import Graph
 
@@ -30,15 +32,22 @@ class OpenWedge(NamedTuple):
 
 @dataclass
 class WedgeSet:
-    """Edge-disjoint open wedges plus their weak edges (packed pair keys)."""
+    """Edge-disjoint open wedges of graph plus their weak edges E_W."""
 
+    graph: Graph
     wedges: list[OpenWedge]
-    weak_edges: set[int]
+    # weak_mask[e]: edge e of graph is a leg of a wedge
+    weak_mask: np.ndarray
     inspections: int = 0
 
     @property
+    def weak_edges(self) -> set[int]:
+        """E_W as packed keys, in a new set on each read."""
+        return self.graph.masked_keys(self.weak_mask)
+
+    @property
     def weak_count(self) -> int:
-        return len(self.weak_edges)
+        return int(np.count_nonzero(self.weak_mask))
 
 
 def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
@@ -57,7 +66,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     leaves the sweep) or certifies a triangle (each triangle inspected at
     most once per corner), so inspections are O(min(m^1.5, m + T)).
     """
-    weak: set[int] = set()
+    weak = bytearray(g.m)
     wedges: list[OpenWedge] = []
     inspections = 0
     indptr = g._indptr.tolist()
@@ -69,14 +78,16 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
         if hi - lo < 2:
             continue
         live = nbrs[lo:hi].tolist()
+        # eids[t]: id of the edge from v to live[t]
+        eids = g._slot_eid[lo:hi].tolist()
         p = bisect_left(live, v)
-        if p:
-            live = ([u for u in live[:p] if ((u << 32) | v) not in weak]
-                    + live[p:])
+        if p and any(map(weak.__getitem__, eids[:p])):
+            low = [t for t in range(p) if not weak[eids[t]]]
+            live = [live[t] for t in low] + live[p:]
+            eids = [eids[t] for t in low] + eids[p:]
         d = len(live)
         if d < 2:
             continue
-        vbase = v << 32
         nxt = list(range(1, d + 1))
         nxt[-1] = -1
         i = 0
@@ -91,8 +102,8 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
                 inspections += 1
                 w = live[j]
                 if (ubase | w) not in edge_keys:  # live is sorted: u < w
-                    weak.add((vbase | u) if v < u else (ubase | v))
-                    weak.add((vbase | w) if v < w else ((w << 32) | v))
+                    weak[eids[i]] = 1
+                    weak[eids[j]] = 1
                     wedges.append(OpenWedge(u, w, v))
                     nxt[jp] = nxt[j]
                     break
@@ -103,4 +114,4 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
             i = nxt[i]
             if i < 0:
                 break
-    return WedgeSet(wedges, weak, inspections)
+    return WedgeSet(g, wedges, np.frombuffer(weak, dtype=bool), inspections)

@@ -63,6 +63,11 @@ def edmonds_karp(num_nodes: int, source: int, sink: int,
     return flow, side
 
 
+def unpack_edge(key: int) -> tuple[int, int]:
+    """The pair (u, v), u < v, that pack_edge(u, v) packed into key."""
+    return key >> 32, key & 0xFFFFFFFF
+
+
 def edge_ids(g: Graph) -> dict[int, int]:
     """Packed key -> edge id, which is the edge's position in g.edges()."""
     return {key: e for e, key in enumerate(g.packed_edges())}
@@ -317,7 +322,7 @@ def solution_lines(sol: HalfIntegralSolution) -> list[str]:
 def iter_weak_pairs(ws: WedgeSet) -> Iterator[tuple[int, int]]:
     """The weak edges of ws as (u, v) pairs with u < v."""
     for key in ws.weak_edges:
-        yield key >> 32, key & 0xFFFFFFFF
+        yield unpack_edge(key)
 
 
 def wedge_set_lines(ws: WedgeSet) -> list[str]:

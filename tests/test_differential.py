@@ -1,8 +1,8 @@
 """The fast paths against their references in helpers.
 
 Each must give exactly what its reference gives:
-- the matcher: the wedges, weak set and inspection count of the sweep
-  driven by the skip-list cursor object;
+- the matcher: the wedges, weak set, weak mask and inspection count of
+  the sweep driven by the skip-list cursor object;
 - pivot: the per-round audit, clusters and assignment of pivoting on a
   residual-graph object, for every strategy, and of the ratio pivot by a
   full scan per round;
@@ -44,6 +44,7 @@ def assert_same_matching(g: Graph) -> None:
     wedges, weak, inspections = maximal_wedge_set_by_cursor(g)
     assert ws.wedges == wedges
     assert ws.weak_edges == weak
+    assert ws.weak_mask.tolist() == g.edge_mask(weak).tolist()
     assert ws.inspections == inspections
 
 

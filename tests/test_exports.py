@@ -21,7 +21,7 @@ EXPORTS = [
     "best_of_random", "clustering_lines", "er_graph", "labeling_from_lp",
     "match_flip_pivot", "maximal_wedge_set_fast", "merge_clusters",
     "pack_edge", "parse_edge_list", "pivot", "serialize_edge_list",
-    "solve_stc_lp", "stc_lp_round", "tight_instance", "unpack_edge",
+    "solve_stc_lp", "stc_lp_round", "tight_instance",
 ]
 
 

@@ -6,6 +6,7 @@ import random
 import re
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -18,9 +19,8 @@ from clusterdel import (
     pack_edge,
     parse_edge_list,
     serialize_edge_list,
-    unpack_edge,
 )
-from helpers import brute_force_wedges, edge_ids
+from helpers import brute_force_wedges, edge_ids, unpack_edge
 from oracles import enumerate_open_wedges
 
 
@@ -239,7 +239,6 @@ def test_plain_and_snap_text_take_the_bulk_path(monkeypatch, tmp_path):
 def test_labels_compact_in_first_appearance_order():
     g = parse_edge_list("10 30\n20 10\n")
     assert g.labels == [10, 30, 20]
-    assert g.id_map == {10: 0, 30: 1, 20: 2}
     assert g.label_of(2) == 20
 
 
@@ -295,6 +294,30 @@ def test_key_index_holds_exactly_the_edges(seed):
             assert_key_index_is_packed_edges(g.drop_edges(drop))
 
 
+def assert_slots_name_their_edges(g):
+    # slot s of row v holds neighbour _nbrs[s] over edge _slot_eid[s]
+    ends = [{u, v} for u, v in g.edges()]
+    assert len(g._slot_eid) == 2 * g.m
+    for v in range(g.n):
+        for s in range(g._indptr[v], g._indptr[v + 1]):
+            assert ends[g._slot_eid[s]] == {v, int(g._nbrs[s])}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_slot_edge_ids_name_the_slot_edges(seed):
+    rng = random.Random(seed)
+    n = rng.randrange(1, 30)
+    pairs = [(rng.randrange(n), rng.randrange(n))
+             for _ in range(rng.randrange(0, 3 * n))]
+    text = "".join(f"{100 + u} {100 + v}\n" for u, v in pairs)
+    # in bulk, line by line, and from explicit edges
+    for g in (parse_edge_list(text), parse_edge_list(text.splitlines()),
+              Graph.from_edges(n, pairs), Graph.from_edges(n, [])):
+        assert_slots_name_their_edges(g)
+        keep = [rng.random() < 0.6 for _ in range(g.m)]
+        assert_slots_name_their_edges(g.keep_edges(np.array(keep, bool)))
+
+
 def test_drop_edges_returns_pruned_copy():
     g = parse_edge_list("1 2\n2 3\n3 1\n")
     g2 = g.drop_edges({pack_edge(0, 1)})
@@ -324,7 +347,7 @@ def test_drop_edges_matches_comprehension(seed):
                  | set(keys[::4])):
         got = g.drop_edges(drop)
         want = drop_edges_by_comprehension(g, drop)
-        assert (got.n, got.labels, got.id_map) == (g.n, g.labels, g.id_map)
+        assert (got.n, got.labels) == (g.n, g.labels)
         assert got.packed_edges() == want.packed_edges()
         assert_key_index_is_packed_edges(got)
         assert all(got.neighbors(v).tolist() == want.neighbors(v).tolist()

@@ -258,6 +258,27 @@ def test_mutating_weak_set_changes_nothing(pipeline):
     assert got == merged
 
 
+def test_apply_merge_rejects_a_graph_of_another_size():
+    g = er_graph(40, 0.15, seed=2)
+    res = match_flip_pivot(g, PivotStrategy.degree())
+    other = er_graph(40, 0.15, seed=3)
+    assert other.m != g.m
+    with pytest.raises(ValueError, match="graph the result"):
+        apply_merge(other, res)
+
+
+def test_apply_merge_rejects_a_graph_of_the_same_size():
+    g = er_graph(40, 0.15, seed=2)
+    res = stc_lp_round(g, PivotStrategy.degree())
+    # the same edges under other node ids: the result's weak mask and
+    # clustering would be read against the wrong edges
+    flip = [g.n - 1 - v for v in range(g.n)]
+    other = Graph.from_edges(g.n, [(flip[u], flip[v]) for u, v in g.edges()])
+    assert other.m == g.m and other.packed_edges() != g.packed_edges()
+    with pytest.raises(ValueError, match="graph the result"):
+        apply_merge(other, res)
+
+
 def _patch_pivot(monkeypatch, tamper):
     # the pipelines pivot the prepared adjacency lists with pivot_lists
     real = pipelines.pivot_lists

@@ -128,43 +128,47 @@ def test_iter_weak_pairs_unpacks():
 
 def test_verify_rejects_missing_leg():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    ws = WedgeSet([OpenWedge(0, 3, 1)], {pack_edge(0, 1), pack_edge(1, 3)})
+    ws = WedgeSet(g, [OpenWedge(0, 3, 1)],
+                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 3)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_closed_wedge():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    ws = WedgeSet([OpenWedge(0, 2, 1)], {pack_edge(0, 1), pack_edge(1, 2)})
+    ws = WedgeSet(g, [OpenWedge(0, 2, 1)],
+                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_shared_edge():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    ws = WedgeSet([OpenWedge(1, 2, 0), OpenWedge(1, 3, 0)],
-                  {pack_edge(0, 1), pack_edge(0, 2), pack_edge(0, 3)})
+    ws = WedgeSet(g, [OpenWedge(1, 2, 0), OpenWedge(1, 3, 0)],
+                  g.edge_mask({pack_edge(0, 1), pack_edge(0, 2),
+                               pack_edge(0, 3)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_non_maximal():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet([], set())
+    ws = WedgeSet(g, [], g.edge_mask(set()))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_weak_set_mismatch():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet([OpenWedge(0, 2, 1)], {pack_edge(0, 1)})
+    ws = WedgeSet(g, [OpenWedge(0, 2, 1)], g.edge_mask({pack_edge(0, 1)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_non_canonical_order():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet([OpenWedge(2, 0, 1)], {pack_edge(0, 1), pack_edge(1, 2)})
+    ws = WedgeSet(g, [OpenWedge(2, 0, 1)],
+                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
