@@ -10,7 +10,8 @@ to dense internal ids in first-appearance order; original labels are kept
 so clusterings can be written back in terms of the input file.  An edge's
 id is its position 0..m-1 in first-appearance order, which indexes
 per-edge arrays such as relaxation values and weak masks; each CSR slot
-records the id of its edge.  A key index of packed endpoint pairs answers
+records the id of its edge.  A graph is built from its key index, a dict
+of packed endpoint pairs in edge-id order, which it keeps to answer
 membership for the wedge matcher and ``has_edge``.
 """
 
@@ -52,25 +53,24 @@ class Graph:
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_slot_eid",
-                 "_edge_u", "_edge_v", "_keys")
+                 "_edge_u", "_edge_v", "_edge_keys")
 
-    def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
-                 labels: list[int] | None = None,
-                 edge_keys: dict[int, None] | None = None):
-        # edge_u/edge_v must already be canonical (u < v), deduplicated,
-        # self-loop free, in edge-id order.  Use from_edges/parse_edge_list.
-        # edge_keys, when given, must hold exactly the packed keys of the
-        # edges; the graph takes ownership of it.  Otherwise the key index
-        # is built when first probed.
+    def __init__(self, n: int, edge_keys: dict[int, None],
+                 labels: list[int] | None = None):
+        # edge_keys holds each edge's packed key (canonical, self-loop
+        # free), in edge-id order; the graph takes ownership of it as its
+        # key index.  Use from_edges/parse_edge_list.
         self.n = n
-        self.m = int(len(edge_u))
+        self.m = len(edge_keys)
         self.labels = labels
-        self._edge_u = edge_u
-        self._edge_v = edge_v
+        self._edge_keys = edge_keys
+        keys = np.fromiter(edge_keys, dtype=np.int64, count=self.m)
+        self._edge_u = keys >> _SHIFT
+        self._edge_v = keys & _MASK
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         if self.m:
-            rows = np.concatenate([edge_u, edge_v])
-            cols = np.concatenate([edge_v, edge_u])
+            rows = np.concatenate([self._edge_u, self._edge_v])
+            cols = np.concatenate([self._edge_v, self._edge_u])
             # the (row, col) slot keys are distinct, so one argsort of
             # them orders the slots as a lexsort by row then col would
             order = np.argsort((rows << _SHIFT) | cols)
@@ -83,14 +83,6 @@ class Graph:
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
             self._slot_eid = np.zeros(0, dtype=np.int64)
-        self._keys = edge_keys
-
-    @property
-    def _edge_keys(self) -> dict[int, None]:
-        """The key index: each edge's packed key, in edge-id order."""
-        if self._keys is None:
-            self._keys = dict.fromkeys(self.packed_edges())
-        return self._keys
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -103,16 +95,7 @@ class Graph:
             if u == v:
                 continue
             seen[pack_edge(u, v)] = None
-        return cls._from_edge_keys(n, seen, labels)
-
-    @classmethod
-    def _from_edge_keys(cls, n: int, edge_keys: dict[int, None],
-                        labels: list[int] | None) -> "Graph":
-        """Graph whose edges are the packed keys of edge_keys, in insertion
-        order; the dict becomes _edge_keys."""
-        keys = np.fromiter(edge_keys, dtype=np.int64, count=len(edge_keys))
-        return cls(n, keys >> _SHIFT, keys & _MASK, labels=labels,
-                   edge_keys=edge_keys)
+        return cls(n, seen, labels)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a view; do not mutate)."""
@@ -124,10 +107,7 @@ class Graph:
     def has_edge(self, u: int, v: int) -> bool:
         if u == v:
             return False
-        keys = self._keys
-        if keys is None:
-            keys = self._edge_keys
-        return pack_edge(u, v) in keys
+        return pack_edge(u, v) in self._edge_keys
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in edge-id order."""
@@ -141,7 +121,8 @@ class Graph:
 
     def drop_edges(self, packed_keys: set[int]) -> "Graph":
         """Copy of the graph without the given edges (packed keys)."""
-        return self.keep_edges(~self.edge_mask(packed_keys))
+        return Graph(self.n, {key: None for key in self._edge_keys
+                              if key not in packed_keys}, self.labels)
 
     def edge_mask(self, packed_keys: set[int]) -> np.ndarray:
         """Boolean array over edge ids, True where the edge's packed key is
@@ -165,13 +146,6 @@ class Graph:
         """Packed keys of the edges marked in mask: inverts edge_mask."""
         keys = (self._edge_u[mask] << _SHIFT) | self._edge_v[mask]
         return set(keys.tolist())
-
-    def keep_edges(self, keep: np.ndarray) -> "Graph":
-        """Copy of the graph with only the edges marked in keep, a boolean
-        array over edge ids.  The copy builds its key index only if it is
-        probed."""
-        return Graph(self.n, self._edge_u[keep], self._edge_v[keep],
-                     labels=self.labels)
 
 
 # A plain line, from its start: blank, or two tokens of at most 18 digits
@@ -294,15 +268,14 @@ def _plain(text: str) -> str | None:
 def _parse_plain(text: str) -> Graph:
     """The graph of a plain text without comments, in bulk."""
     if not text or text.isspace():  # fromstring would read blanks as [0]
-        return Graph._from_edge_keys(0, {}, [])
+        return Graph(0, {}, [])
     labels, ids = _first_appearance_ids(
         np.fromstring(text, dtype=np.int64, sep=" "))
     a, b = ids[0::2], ids[1::2]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
     keys = ((lo << _SHIFT) | hi)[lo != hi]
     # the dict keeps each edge at its first appearance
-    return Graph._from_edge_keys(len(labels), dict.fromkeys(keys.tolist()),
-                                 labels)
+    return Graph(len(labels), dict.fromkeys(keys.tolist()), labels)
 
 
 def _first_appearance_ids(tokens: np.ndarray) -> tuple[list[int],
@@ -359,7 +332,7 @@ def _parse_lines(lines: Iterable) -> Graph:
         if ia == ib:
             continue
         seen[(ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia] = None
-    return Graph._from_edge_keys(len(labels), seen, labels)
+    return Graph(len(labels), seen, labels)
 
 
 def serialize_edge_list(g: Graph) -> str:

@@ -106,8 +106,9 @@ class CDResult:
 @dataclass
 class _Preparation:
     """Stage 1, shared by every pivot run on one input: the certificate,
-    the adjacency lists of the graph stripped of its weak edges (which
-    each pivot only reads), and the milliseconds both took."""
+    the adjacency lists of the graph stripped of its weak edges, taken
+    from the graph's CSR through the weak mask (each pivot only reads
+    them), and the milliseconds both took."""
 
     cert: Certificate
     adj: list[list[int]]
@@ -118,6 +119,8 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
              wedge_set: WedgeSet | None = None) -> _Preparation:
     t0 = perf_counter()
     if algorithm == "mfp":
+        if wedge_set is not None and wedge_set.graph is not g:
+            raise ValueError("wedge_set was not matched on g")
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
         wedges, lp_half, values = len(ws.wedges), None, None
         lower_bound, weak_mask = 2 * wedges, ws.weak_mask
@@ -130,7 +133,7 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
         raise ValueError(f"unknown algorithm {algorithm!r}")
     cert = Certificate(algorithm, g, wedges, lp_half, lower_bound,
                        weak_mask, values)
-    adj = adjacency_lists(g.keep_edges(~weak_mask))
+    adj = adjacency_lists(g, ~weak_mask)
     return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
 
 

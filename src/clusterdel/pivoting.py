@@ -15,7 +15,8 @@ Strategies:
   random  pick uniformly among live nodes, seeded
 
 ``pivot_lists`` pivots a graph given as Python adjacency lists, which it
-only reads.  The pipelines build the stripped graph's lists once per
+only reads.  The pipelines take the stripped graph's lists from the input
+graph's CSR rows through its weak mask (``adjacency_lists``), once per
 preparation, and every pivot of that preparation reads them: one per
 strategy, and every trial of best-of-T.  ``pivot`` builds them for a
 single call.  The audit is counted while a cluster is removed: every live
@@ -49,6 +50,8 @@ from __future__ import annotations
 import heapq
 import random
 from dataclasses import dataclass
+
+import numpy as np
 
 from .graph import Graph
 
@@ -263,16 +266,21 @@ class _RandomSelector:
         pass
 
 
-def adjacency_lists(g: Graph) -> list[list[int]]:
-    """g's sorted neighbour lists as Python lists, indexed by node id."""
-    indptr = g._indptr.tolist()
-    flat = g._nbrs.tolist()
+def adjacency_lists(g: Graph, keep: np.ndarray) -> list[list[int]]:
+    """Sorted neighbour lists as Python lists, indexed by node id, of g
+    with only the edges marked in keep, a boolean array over edge ids."""
+    kept = keep[g._slot_eid]
+    # kept_before[s]: the number of kept slots before slot s, for s <= 2m
+    kept_before = np.concatenate(([0], np.cumsum(kept)))
+    indptr = kept_before[g._indptr].tolist()
+    flat = g._nbrs[kept].tolist()
     return [flat[indptr[v]:indptr[v + 1]] for v in range(g.n)]
 
 
 def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
     """Cluster g by repeated pivoting; returns the clustering and audit."""
-    return pivot_lists(adjacency_lists(g), strategy)
+    return pivot_lists(adjacency_lists(g, np.ones(g.m, dtype=bool)),
+                       strategy)
 
 
 def pivot_lists(adj: list[list[int]], strategy: PivotStrategy

@@ -566,6 +566,5 @@ def split_by_sorted_search(g: Graph, packed_keys: set[int]
         sorted_keys = keys[order]
         pos = np.minimum(np.searchsorted(drop, sorted_keys), len(drop) - 1)
         dropped[order] = drop[pos] == sorted_keys
-    keep = ~dropped
-    return dropped, Graph(g.n, g._edge_u[keep], g._edge_v[keep],
-                          labels=g.labels)
+    return dropped, Graph(g.n, dict.fromkeys(keys[~dropped].tolist()),
+                          g.labels)

@@ -20,6 +20,7 @@ from clusterdel import (
     parse_edge_list,
     serialize_edge_list,
 )
+from clusterdel.pivoting import adjacency_lists
 from helpers import brute_force_wedges, edge_ids, unpack_edge
 from oracles import enumerate_open_wedges
 
@@ -310,12 +311,19 @@ def test_slot_edge_ids_name_the_slot_edges(seed):
     pairs = [(rng.randrange(n), rng.randrange(n))
              for _ in range(rng.randrange(0, 3 * n))]
     text = "".join(f"{100 + u} {100 + v}\n" for u, v in pairs)
-    # in bulk, line by line, and from explicit edges
+    # in bulk, line by line, from explicit edges with two isolated nodes,
+    # and without edges
     for g in (parse_edge_list(text), parse_edge_list(text.splitlines()),
-              Graph.from_edges(n, pairs), Graph.from_edges(n, [])):
+              Graph.from_edges(n + 2, pairs), Graph.from_edges(n, [])):
         assert_slots_name_their_edges(g)
-        keep = [rng.random() < 0.6 for _ in range(g.m)]
-        assert_slots_name_their_edges(g.keep_edges(np.array(keep, bool)))
+        for keep in (np.array([rng.random() < 0.6 for _ in range(g.m)],
+                              dtype=bool),
+                     np.ones(g.m, dtype=bool), np.zeros(g.m, dtype=bool)):
+            copy = g.drop_edges(g.masked_keys(~keep))
+            assert_slots_name_their_edges(copy)
+            # the lists read through the mask are the copy's rows
+            assert adjacency_lists(g, keep) == [
+                copy.neighbors(v).tolist() for v in range(g.n)]
 
 
 def test_drop_edges_returns_pruned_copy():
@@ -328,10 +336,10 @@ def test_drop_edges_returns_pruned_copy():
 
 
 def drop_edges_by_comprehension(g, packed_keys):
-    """The loop drop_edges replaced, kept as its reference."""
-    keep = [e for e, key in enumerate(g.packed_edges())
-            if key not in packed_keys]
-    return Graph(g.n, g._edge_u[keep], g._edge_v[keep], labels=g.labels)
+    """The loop drop_edges replaced, kept as its reference: the keys come
+    from the edge arrays, not the key index."""
+    keep = [key for key in g.packed_edges() if key not in packed_keys]
+    return Graph(g.n, dict.fromkeys(keep), g.labels)
 
 
 @pytest.mark.parametrize("seed", range(12))

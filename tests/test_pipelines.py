@@ -17,6 +17,7 @@ from clusterdel import (
     er_graph,
     labeling_from_lp,
     match_flip_pivot,
+    maximal_wedge_set_fast,
     merge_clusters,
     solve_stc_lp,
     stc_lp_round,
@@ -277,6 +278,24 @@ def test_apply_merge_rejects_a_graph_of_the_same_size():
     assert other.m == g.m and other.packed_edges() != g.packed_edges()
     with pytest.raises(ValueError, match="graph the result"):
         apply_merge(other, res)
+
+
+def test_mfp_rejects_a_wedge_set_of_another_size():
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    ws = maximal_wedge_set_fast(P3)
+    with pytest.raises(ValueError, match="matched on g"):
+        match_flip_pivot(g, PivotStrategy.degree(), wedge_set=ws)
+
+
+def test_mfp_rejects_a_wedge_set_of_the_same_size():
+    # a triangle plus an isolated node needs no deletion; the 4-node
+    # path's wedges, read against its edge ids, would certify one
+    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
+    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
+    ws = maximal_wedge_set_fast(path)
+    assert path.m == g.m and ws.wedges
+    with pytest.raises(ValueError, match="matched on g"):
+        match_flip_pivot(g, PivotStrategy.degree(), wedge_set=ws)
 
 
 def _patch_pivot(monkeypatch, tamper):
