@@ -13,10 +13,12 @@ input is the degree-pivot clustering.  The mfp row times one whole match_flip_pi
 call with the degree strategy: matcher, strip, pivot and scoring.
 Sizes default to a quick sweep; --big adds the acceptance-scale
 instances (m around 10^6 for the matcher, and edges plus open wedges
-around half a million for the LP) and the parse row, which times
-``parse_edge_list`` on the million-edge matcher instance, written to a
-temporary file and read from an open file as the CLI reads it; its
-problem size is the number of lines.
+around half a million for the LP) and the parse rows.  The parse row
+times ``parse_edge_list`` on the million-edge matcher instance, written to
+a temporary file and read from an open file as the CLI reads it; the
+parse-nonplain row times the same file with one line first whose
+19-digit label sends the parser to its line loop.  Their problem size is
+the number of lines.
 
 With --json BENCH_<label>.json the script also runs the benchmark,
 ``perfbench/run.py``, once per workload, seed 11..15 and --trace 0 and 1,
@@ -103,14 +105,24 @@ def bench_matcher(n: int, p: float, seed: int) -> list[dict]:
 
 def bench_parse(n: int, p: float, seed: int) -> list[dict]:
     g = er_graph(n, p, seed=seed)
+    text = serialize_edge_list(g)
+    lines = g.n + g.m
+    del g
+    rows = []
     with tempfile.TemporaryDirectory() as tmp:
-        path = Path(tmp) / "edges.txt"
-        path.write_text(serialize_edge_list(g), encoding="utf-8")
-        lines = g.n + g.m
-        del g
-        with open(path, encoding="utf-8") as fh:
-            parsed, elapsed, delta = timed(parse_edge_list, fh)
-    return [row("parse", parsed.n, parsed.m, lines, elapsed, delta)]
+        plain, nonplain = Path(tmp) / "plain.txt", Path(tmp) / "nonplain.txt"
+        plain.write_text(text, encoding="utf-8")
+        # one line first whose 19-digit label is not plain sends the parser
+        # to its line loop for the rest of the file
+        nonplain.write_text(f"{10**18} 0\n" + text, encoding="utf-8")
+        del text
+        for stage, path, size in (("parse", plain, lines),
+                                  ("parse-nonplain", nonplain, lines + 1)):
+            with open(path, encoding="utf-8") as fh:
+                parsed, elapsed, delta = timed(parse_edge_list, fh)
+            rows.append(row(stage, parsed.n, parsed.m, size, elapsed, delta))
+            del parsed
+    return rows
 
 
 def open_wedges(g) -> int:

@@ -5,6 +5,8 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
+
 from .graph import Graph, pack_edge
 from .wedges import OpenWedge, WedgeSet
 
@@ -32,7 +34,9 @@ def tight_instance(n: int) -> tuple[Graph, WedgeSet, int]:
         wedges.append(OpenWedge(min(i, q + j), max(i, q + j), j))
         weak.add(pack_edge(i, j))
         weak.add(pack_edge(j, q + j))
-    return g, WedgeSet(g, wedges, g.edge_mask(weak)), q
+    weak_mask = np.fromiter((key in weak for key in g._edge_keys), bool,
+                            g.m)
+    return g, WedgeSet(g, wedges, weak_mask), q
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

@@ -1,18 +1,19 @@
 """Undirected simple graphs backed by CSR adjacency arrays.
 
 Graphs are read from whitespace-separated edge lists (SNAP style) or built
-from explicit edge iterables.  A plain edge list in a str, bytes or open
-file, whose lines are blank or hold two integers of at most 18 digits once
-``#`` comments are removed, is parsed in bulk with numpy; any other text,
-and any other iterable of lines, is parsed one line at a time to the same
-graph.  Node labels are compacted
-to dense internal ids in first-appearance order; original labels are kept
-so clusterings can be written back in terms of the input file.  An edge's
-id is its position 0..m-1 in first-appearance order, which indexes
-per-edge arrays such as relaxation values and weak masks; each CSR slot
-records the id of its edge.  A graph is built from its key index, a dict
-of packed endpoint pairs in edge-id order, which it keeps to answer
-membership for the wedge matcher and ``has_edge``.
+from explicit edge iterables.  Every source is read in chunks of lines.
+A chunk is plain when its lines broke at each "\\n" and nowhere else, and
+each is blank or holds two integers of at most 18 digits once ``#``
+comments are removed.  Plain chunks are parsed in bulk with numpy; from
+the first chunk that is not plain on, the lines are parsed one at a time,
+to the same graph.  Node labels are compacted to dense internal ids in
+first-appearance order; original labels are kept so clusterings can be
+written back in terms of the input file.  An edge's id is its position
+0..m-1 in first-appearance order, which indexes per-edge arrays such as
+relaxation values and weak masks; each CSR slot records the id of its
+edge.  A graph is built from its key index, a dict of packed endpoint
+pairs in edge-id order, which it keeps to answer membership for the
+wedge matcher and ``has_edge``.
 """
 
 from __future__ import annotations
@@ -124,109 +125,93 @@ class Graph:
         return Graph(self.n, {key: None for key in self._edge_keys
                               if key not in packed_keys}, self.labels)
 
-    def edge_mask(self, packed_keys: set[int]) -> np.ndarray:
-        """Boolean array over edge ids, True where the edge's packed key is
-        in packed_keys.  Keys of absent pairs are ignored."""
-        drop = np.sort(np.fromiter(packed_keys, dtype=np.int64,
-                                   count=len(packed_keys)))
-        mask = np.zeros(self.m, dtype=bool)
-        if len(drop):
-            # search in key order, which keeps the binary searches
-            # cache-friendly (np.isin would do, but its first call imports
-            # numpy.ma: +2 MiB)
-            keys = (self._edge_u << _SHIFT) | self._edge_v
-            order = np.argsort(keys)
-            sorted_keys = keys[order]
-            pos = np.minimum(np.searchsorted(drop, sorted_keys),
-                             len(drop) - 1)
-            mask[order] = drop[pos] == sorted_keys
-        return mask
-
     def masked_keys(self, mask: np.ndarray) -> set[int]:
-        """Packed keys of the edges marked in mask: inverts edge_mask."""
+        """Packed keys of the edges marked in mask, a boolean array over
+        edge ids."""
         keys = (self._edge_u[mask] << _SHIFT) | self._edge_v[mask]
         return set(keys.tolist())
 
 
-# A plain line, from its start: blank, or two tokens of at most 18 digits
-# (which always fit int64) between blanks.  The bulk path reads text whose
-# lines break at "\n" alone, so "\r" inside a line is a blank.
+# A plain line of a chunk's text (see _chunk_text), from its start: blank,
+# or two tokens of at most 18 digits (which always fit int64) between
+# blanks, then its "\n" and the "\v" that follows each line but the last,
+# or the end of the text.  So "\r" inside a line is a blank.  (An empty
+# alternative, where "?" would do, checks big-mfp's file 13% faster on
+# CPython 3.11.)
 _TOKEN = r"[+-]?[0-9]{1,18}"
-_PLAIN_LINE = rf"[ \t\r]*(?:{_TOKEN}[ \t\r]+{_TOKEN}[ \t\r]*)?(?:\n|\Z)"
+_PLAIN_LINE = (rf"[ \t\r]*(?:{_TOKEN}[ \t\r]+{_TOKEN}[ \t\r]*|)"
+               r"(?:\n\v|\n?\Z)")
 # Each line is tried once from its start and can backtrack only within
 # itself, so a text is checked in linear time and constant memory.  (One
 # fullmatch of the whole text would keep state for every line, unless its
 # quantifiers were possessive, which needs Python 3.11.)
 _PLAIN_FIRST_LINE = re.compile(_PLAIN_LINE)
-_NOT_PLAIN_LINE = re.compile(rf"\n(?!{_PLAIN_LINE})")
-_COMMENT = re.compile("#[^\n]*")
+_NOT_PLAIN_LINE = re.compile(rf"\v(?!{_PLAIN_LINE})")
+# a comment stops at a "\v" too, so that it cannot hide where a line
+# without a "\n" broke
+_COMMENT = re.compile("#[^\n\v]*")
 
 
 def parse_edge_list(source) -> Graph:
     """Parse a whitespace-separated edge list into a Graph.
 
-    ``source`` may be a str, bytes, an open file (an ``io.IOBase``, text
-    or binary), or any other iterable of lines.  ``#`` starts a comment
+    ``source`` may be a str, bytes, an open file (text or binary), or any
+    other iterable of str or bytes lines.  ``#`` starts a comment
     (full-line or trailing).  Each remaining line must hold exactly two
     integer tokens.  Duplicate edges in either orientation collapse to
     one; self-loops are dropped but still register the label, so a node
     can exist with degree 0.  Labels are compacted to 0..n-1 in
     first-appearance order.
 
-    str and bytes (decoded as UTF-8) break into lines as ``splitlines()``
-    breaks them, and a file as iterating it does.  Plain text, where every
-    line is blank or holds two tokens of at most 18 ASCII digits (with an
-    optional sign) between spaces, tabs or ``"\\r"``, is parsed in bulk
-    with numpy: such tokens always fit int64.  A file takes this path only
-    when its lines broke at every ``"\\n"`` and nowhere else.  Anything
-    else, and every iterable that is not a file, goes through a loop over
-    the lines, which raises ``EdgeListParseError`` with the line number of
-    a malformed line.  Both routes give the same graph.
+    str and bytes (decoded as UTF-8) break into lines as
+    ``splitlines(keepends=True)`` breaks them, and a file as iterating it
+    does.  Lines are read ``_CHUNK_LINES`` at a time.  A chunk is plain
+    when its lines broke at each ``"\\n"`` and nowhere else and, once
+    comments are removed, every line is blank or holds two tokens of at
+    most 18 ASCII digits (with an optional sign) between spaces, tabs or
+    ``"\\r"``; such tokens always fit int64.  Plain chunks are parsed
+    together in bulk with numpy.  The first chunk that is not plain goes,
+    after the plain lines before it and followed by the rest of the
+    source, through a loop over the lines, which raises
+    ``EdgeListParseError`` with the line number of a malformed line.  Both
+    routes give the same graph.  An error raised while reading the source
+    is raised after the lines read before it are parsed, so an earlier
+    malformed line fails first.
     """
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):
-        plain = _plain("\n".join(source.splitlines()))
-        return (_parse_plain(plain) if plain is not None
-                else _parse_lines(source.splitlines()))
-    if not isinstance(source, io.IOBase):
-        return _parse_lines(source)
-    text, lines = _read_file(source)
-    plain = _plain(text) if text is not None else None
-    if plain is not None:
-        return _parse_plain(plain)
-    return _parse_lines(lines if text is None else _newline_lines(text))
-
-
-# Lines read from a file at a time.  Few enough that the line objects are
-# freed and their memory reused chunk by chunk: a whole file's lines, held
-# at once, left holes among the graph's objects that slowed later work on
-# the graph by 3-7% on big-mfp.
-_CHUNK_LINES = 4096
-
-
-def _read_file(source) -> tuple[str | None, Iterable | None]:
-    """Read an open file by iterating it, so that its lines break where
-    its newline mode breaks them.  Returns its text if every chunk of
-    lines broke at each "\n" and nowhere else, else None and its lines,
-    the rest of them still unread."""
+        source = source.splitlines(keepends=True)
+    source = iter(source)
     texts: list[str] = []
     while True:
         chunk: list = []
         try:
             chunk.extend(islice(source, _CHUNK_LINES))
-        except UnicodeDecodeError:
-            # a malformed line read before the bad bytes fails first, as
-            # it did when the loop iterated the file
+        except Exception:
+            # a malformed line read before the failure fails first, as it
+            # does when the loop reads the source
             _parse_lines(chain(_newline_lines("".join(texts)), chunk))
             raise
         if not chunk:
-            return "".join(texts), None
-        text = _file_text(chunk)
-        # only the file's last line may end without a "\n"
-        if text is None or (texts and not texts[-1].endswith("\n")):
-            return None, chain(_newline_lines("".join(texts)), chunk, source)
-        texts.append(text)
+            text = "".join(texts)
+            texts.clear()  # free the chunks' texts before the bulk parse
+            return _parse_plain(text)
+        # only the source's last line may end without a "\n"
+        text = (_chunk_text(chunk) if not texts or texts[-1].endswith("\n")
+                else None)
+        plain = _plain(text) if text is not None else None
+        if plain is None:
+            return _parse_lines(chain(_newline_lines("".join(texts)), chunk,
+                                      source))
+        texts.append(plain)
+
+
+# Lines read at a time.  Few enough that the line objects are freed and
+# their memory reused chunk by chunk: a whole file's lines, held at once,
+# left holes among the graph's objects that slowed later work on the graph
+# by 3-7% on big-mfp.
+_CHUNK_LINES = 4096
 
 
 def _newline_lines(text: str) -> Iterator[str]:
@@ -234,31 +219,28 @@ def _newline_lines(text: str) -> Iterator[str]:
     return io.StringIO(text, newline="\n")
 
 
-def _file_text(lines: list) -> str | None:
-    """The text of lines read from a file if they are UTF-8 and broke at
-    every "\n" and nowhere else, or None."""
-    if lines and isinstance(lines[0], bytes):
-        # a binary file breaks lines after b"\n" alone
-        try:
-            return b"".join(lines).decode("utf-8")
-        except UnicodeDecodeError:
+def _chunk_text(lines: list) -> str | None:
+    """The text of a chunk of str lines, or of UTF-8 bytes lines, with a
+    "\\v" after each line but the last, if no line holds a "\\v";
+    otherwise None.  numpy and the line loop read a "\\v" as a blank, and
+    _plain reads it as the place where two lines broke."""
+    mark = b"\v" if isinstance(lines[0], bytes) else "\v"
+    try:
+        text = mark.join(lines)
+        if text.count(mark) != len(lines) - 1:
             return None
-    text = "".join(lines)
-    # a text file breaks lines after "\n", or after "\r" in some newline
-    # modes, or not at all; so it broke at every "\n" and nowhere else when
-    # it broke as often as text holds a "\n", and either text holds no
-    # "\r" or every line but the last ends in "\n"
-    if (text.count("\n") == len(lines) - (not text.endswith("\n"))
-            and ("\r" not in text
-                 or all(line.endswith("\n") for line in lines[:-1]))):
-        return text
-    return None
+        return text if isinstance(text, str) else text.decode("utf-8")
+    except (TypeError, UnicodeDecodeError):  # mixed str and bytes, say
+        return None
 
 
 def _plain(text: str) -> str | None:
-    """text without its comments if it is then plain, or None."""
+    """A chunk's text (see _chunk_text) without its comments if its lines
+    broke at each "\\n" and nowhere else and are then plain, or None."""
     if "#" in text:
-        text = _COMMENT.sub("", text)
+        # a comment becomes a blank, not nothing, so that a last line that
+        # held only a comment and no "\n" is still a line without a "\n"
+        text = _COMMENT.sub(" ", text)
     if (_PLAIN_FIRST_LINE.match(text) is None
             or _NOT_PLAIN_LINE.search(text) is not None):
         return None

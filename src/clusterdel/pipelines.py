@@ -137,10 +137,10 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
     return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
 
 
-def _score(g: Graph, cert: Certificate, clustering: Clustering,
-           audit: PivotAudit, strategy: PivotStrategy,
-           merged: bool, runtime_ms: dict[str, float | None]) -> CDResult:
-    weak, values = cert.weak_mask, cert.values
+def _score(cert: Certificate, clustering: Clustering, audit: PivotAudit,
+           strategy: str, seed: int | None, merged: bool,
+           runtime_ms: dict[str, float | None]) -> CDResult:
+    g, weak, values = cert.graph, cert.weak_mask, cert.values
     assignment = np.array(clustering.assignment, dtype=np.int64)
     cut = assignment[g._edge_u] != assignment[g._edge_v]
     cut_weak = cut & weak
@@ -172,8 +172,8 @@ def _score(g: Graph, cert: Certificate, clustering: Clustering,
     lb = cert.lower_bound_half_units
     ratio = Fraction(2 * deletions, lb) if lb > 0 else None
     return CDResult(
-        algorithm=cert.algorithm, strategy=strategy.kind,
-        seed=strategy.seed, n=g.n, m=g.m, wedges=cert.wedges,
+        algorithm=cert.algorithm, strategy=strategy, seed=seed, n=g.n,
+        m=g.m, wedges=cert.wedges,
         weak_edges=weak_edges, lp_value_half_units=cert.lp_value_half_units,
         deletions=deletions, lower_bound_half_units=lb, ratio=ratio,
         m_w=m_w, m_s=m_s, m_1=m_1, b_half=b_half, n_half=n_half,
@@ -183,27 +183,26 @@ def _score(g: Graph, cert: Certificate, clustering: Clustering,
         runtime_ms=runtime_ms, certificate=cert)
 
 
-def _finish(g: Graph, prep: _Preparation,
-            strategy: PivotStrategy) -> CDResult:
+def _finish(prep: _Preparation, strategy: PivotStrategy) -> CDResult:
     t0 = perf_counter()
     clustering, audit = pivot_lists(prep.adj, strategy)
     pivot_ms = (perf_counter() - t0) * 1000.0
     runtime_ms = {"lower_bound": prep.ms, "pivot": pivot_ms, "merge": None}
-    return _score(g, prep.cert, clustering, audit, strategy, False,
-                  runtime_ms)
+    return _score(prep.cert, clustering, audit, strategy.kind, strategy.seed,
+                  False, runtime_ms)
 
 
 def match_flip_pivot(g: Graph, strategy: PivotStrategy,
                      wedge_set: WedgeSet | None = None) -> CDResult:
     """Match a maximal wedge set, strip its legs, pivot.  An explicit
     wedge_set is used in place of a computed one (for tests)."""
-    return _finish(g, _prepare(g, "mfp", wedge_set=wedge_set), strategy)
+    return _finish(_prepare(g, "mfp", wedge_set=wedge_set), strategy)
 
 
 def stc_lp_round(g: Graph, strategy: PivotStrategy,
                  arc_budget: int = DEFAULT_ARC_BUDGET) -> CDResult:
     """Solve the STC relaxation, strip edges at weakness >= 1/2, pivot."""
-    return _finish(g, _prepare(g, "stclp", arc_budget), strategy)
+    return _finish(_prepare(g, "stclp", arc_budget), strategy)
 
 
 def best_of_random(g: Graph, trials: int, base_seed: int = 0,
@@ -220,7 +219,7 @@ def best_of_random(g: Graph, trials: int, base_seed: int = 0,
     total_deletions = 0
     total_ratio = 0.0
     for i in range(trials):
-        res = _finish(g, prep, PivotStrategy.random(base_seed + i))
+        res = _finish(prep, PivotStrategy.random(base_seed + i))
         total_deletions += res.deletions
         if res.ratio is not None:
             total_ratio += float(res.ratio)
@@ -324,9 +323,8 @@ def apply_merge(g: Graph, result: CDResult,
     merge_ms = (perf_counter() - t0) * 1000.0
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms
-    strategy = PivotStrategy(result.strategy, result.seed)
-    out = _score(g, result.certificate, merged, result.audit, strategy, True,
-                 runtime_ms)
+    out = _score(result.certificate, merged, result.audit, result.strategy,
+                 result.seed, True, runtime_ms)
     if out.deletions > result.deletions:
         raise InvariantError("merge increased deletions")
     return out

@@ -73,6 +73,12 @@ def edge_ids(g: Graph) -> dict[int, int]:
     return {key: e for e, key in enumerate(g.packed_edges())}
 
 
+def edge_mask(g: Graph, packed_keys: set[int]) -> np.ndarray:
+    """Boolean array over edge ids, True where the edge's key is in
+    packed_keys."""
+    return np.array([key in packed_keys for key in g.packed_edges()], bool)
+
+
 def brute_force_wedges(g: Graph) -> list[tuple[int, int, int]]:
     """All open wedges (i, j, k), i < j, center k, by cubic scan."""
     out = []

@@ -14,7 +14,7 @@ from typing import Callable, Sequence
 
 from clusterdel import Graph, OpenWedge, WedgeSet, pack_edge
 from clusterdel.graph import _SHIFT
-from helpers import edge_ids, unpack_edge
+from helpers import edge_ids, edge_mask, unpack_edge
 
 
 def enumerate_open_wedges(g: Graph,
@@ -69,7 +69,7 @@ def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
         wedges.append(OpenWedge(i, j, k))
 
     enumerate_open_wedges(g, sink)
-    return WedgeSet(g, wedges, g.edge_mask(weak), inspections)
+    return WedgeSet(g, wedges, edge_mask(g, weak), inspections)
 
 
 def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:

@@ -29,10 +29,11 @@ from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         solve_stc_lp, stc_lp_round)
 from clusterdel import pipelines
 from clusterdel.pipelines import _prepare
-from helpers import (maximal_wedge_set_by_cursor, merge_clusters_pairwise,
-                     pivot_by_residual_graph, planted_clusters,
-                     ratio_pivot_by_full_scan, score_by_edge_loop,
-                     split_by_sorted_search, weak_keys_by_edge_loop)
+from helpers import (edge_mask, maximal_wedge_set_by_cursor,
+                     merge_clusters_pairwise, pivot_by_residual_graph,
+                     planted_clusters, ratio_pivot_by_full_scan,
+                     score_by_edge_loop, split_by_sorted_search,
+                     weak_keys_by_edge_loop)
 from test_acceptance import corpus
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
@@ -44,7 +45,7 @@ def assert_same_matching(g: Graph) -> None:
     wedges, weak, inspections = maximal_wedge_set_by_cursor(g)
     assert ws.wedges == wedges
     assert ws.weak_edges == weak
-    assert ws.weak_mask.tolist() == g.edge_mask(weak).tolist()
+    assert ws.weak_mask.tolist() == edge_mask(g, weak).tolist()
     assert ws.inspections == inspections
 
 

@@ -21,7 +21,7 @@ from clusterdel import (
     serialize_edge_list,
 )
 from clusterdel.pivoting import adjacency_lists
-from helpers import brute_force_wedges, edge_ids, unpack_edge
+from helpers import brute_force_wedges, edge_ids, edge_mask, unpack_edge
 from oracles import enumerate_open_wedges
 
 
@@ -77,10 +77,10 @@ def test_parse_errors_carry_line_numbers(text, lineno):
     assert f"line {lineno}:" in str(exc.value)
 
 
-def parse_outcome(source):
+def parse_outcome(source, parse=parse_edge_list):
     """The parsed graph's full state, or the error it raised."""
     try:
-        g = parse_edge_list(source)
+        g = parse(source)
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "lineno", None)
     return (g.n, g.labels, g._edge_u.tolist(), g._edge_v.tolist(),
@@ -146,14 +146,17 @@ _NEWLINE_MODES = [None, "", "\n", "\r", "\r\n"]
 @example("# a\r1 2\n#\x0b3 4\n", 1)
 @example("1_000 2\n" + "1" * 19 + " 2\n", 1)
 @example("1 2\n3 4\n", 4096)
+@example("#\r\n\n0 0\n0 0\n", 1)
+@example("1 2\n\x0b3 4\n", 4096)
 @example("1\r2\n3 4", 4096)
 def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
                                                       text, chunk_lines):
-    # a list of lines always takes the line loop, so it is the reference;
-    # files are read in chunks of chunk_lines lines
+    # the line loop over the source's lines is the reference; sources are
+    # read in chunks of chunk_lines lines
+    def loop(lines):
+        return parse_outcome(lines, clusterdel.graph._parse_lines)
+
     data = text.encode("utf-8")
-    assert parse_outcome(text) == parse_outcome(text.splitlines())
-    assert parse_outcome(data) == parse_outcome(text.splitlines())
     path = tmp_path_factory.getbasetemp() / "edges.txt"
     path.write_bytes(data)
     gz = path.with_suffix(".txt.gz")
@@ -170,9 +173,46 @@ def test_parse_matches_line_loop_for_every_source_kind(tmp_path_factory,
             makers.append(lambda opener=opener, target=target, mode=mode:
                           opener(target, **mode))
     with mock.patch.object(clusterdel.graph, "_CHUNK_LINES", chunk_lines):
+        lines = text.splitlines(keepends=True)
+        for source in (text, data, lines,
+                       iter([line.encode("utf-8") for line in lines])):
+            assert parse_outcome(source) == loop(text.splitlines())
         for make in makers:
-            with make() as a, make() as b:
-                assert parse_outcome(a) == parse_outcome(list(b))
+            with make() as a, make() as b, make() as c:
+                expected = loop(list(b))
+                assert parse_outcome(a) == expected
+                assert parse_outcome(list(c)) == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(edge_list_texts(), st.lists(st.integers(0, 80), max_size=8),
+       st.sampled_from([1, 2, 4096]), st.booleans())
+def test_lines_cut_anywhere_parse_as_the_line_loop(text, cuts, chunk_lines,
+                                                   as_bytes):
+    # lines need not break at line breaks: a line without a "\n" and one
+    # holding two must not pass for two lines that broke at each "\n"
+    bounds = sorted({0, len(text)} | {min(c, len(text)) for c in cuts})
+    lines = [text[a:b] for a, b in zip(bounds, bounds[1:])]
+    if as_bytes:
+        lines = [line.encode("utf-8") for line in lines]
+    with mock.patch.object(clusterdel.graph, "_CHUNK_LINES", chunk_lines):
+        assert parse_outcome(lines) == parse_outcome(
+            lines, clusterdel.graph._parse_lines)
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 4096])
+@pytest.mark.parametrize("lines", [
+    ["1 2 # x", "3 4\n\n"], ["1 2", "\n3 4\n"], ["1 2\n3 4\n"],
+    ["1", " 2\n"], ["1 2\n", b"3 4\n"], [b"1 2\n", "3 4\n"],
+    ["1 2\n", "3 \x00\n"], ["1 2\n\x003 4\n", "5 6"], [b"1 2\n", b"\xff"],
+    ["1 2\n", "# c", "3 4\n", "5\n"], ["# c", "\n5\n"],
+    ["1 2\n\x0b3 4\n"], [b"1 2\n\x0b3 4\n"], ["1 2 #\x0b", "3 4\n"],
+])
+def test_lines_that_are_not_newline_broken_take_the_line_loop(lines,
+                                                             chunk_lines):
+    with mock.patch.object(clusterdel.graph, "_CHUNK_LINES", chunk_lines):
+        assert parse_outcome(lines) == parse_outcome(
+            lines, clusterdel.graph._parse_lines)
 
 
 def test_files_are_read_in_chunks_of_lines():
@@ -184,6 +224,39 @@ def test_files_are_read_in_chunks_of_lines():
         for source in (io.StringIO(text), io.BytesIO(text.encode())):
             expected = parse_outcome(text.splitlines())
             assert parse_outcome(source) == expected
+
+
+def test_only_the_first_chunk_is_checked_before_a_non_plain_line(
+        monkeypatch):
+    # a 19-digit label on the first line sends the file to the line loop
+    # without the rest of it being read as text first
+    lines = ["1000000000000000000 1\n"] + [f"{i} {i + 1}\n"
+                                         for i in range(3 * 4096)]
+    text = "".join(lines)
+    checked = []  # the number of lines in each text checked
+    plain = clusterdel.graph._plain
+    monkeypatch.setattr(clusterdel.graph, "_plain", lambda text: (
+        checked.append(text.count("\n")) or plain(text)))
+    expected = parse_outcome(lines, clusterdel.graph._parse_lines)
+    for source in (io.StringIO(text), io.BytesIO(text.encode())):
+        checked.clear()
+        assert parse_outcome(source) == expected
+        assert sum(checked) <= 4096
+
+
+@pytest.mark.parametrize("chunk_lines", [1, 2, 4096])
+def test_read_error_after_a_malformed_line_fails_at_that_line(chunk_lines):
+    def lines(malformed):
+        yield "1 2\n"
+        yield "1 2 3\n" if malformed else "2 3\n"
+        raise OSError("read failed")
+
+    with mock.patch.object(clusterdel.graph, "_CHUNK_LINES", chunk_lines):
+        with pytest.raises(EdgeListParseError) as exc:
+            parse_edge_list(lines(malformed=True))
+        assert exc.value.lineno == 2
+        with pytest.raises(OSError, match="read failed"):
+            parse_edge_list(lines(malformed=False))
 
 
 @pytest.mark.parametrize("data", [
@@ -228,8 +301,10 @@ def test_plain_and_snap_text_take_the_bulk_path(monkeypatch, tmp_path):
     path.write_text(snap)
     for text, labels, m in ((plain, [1, 2, 3, -7, 8], 4),
                             (snap, [1, 2, 3, 4], 3)):
+        lines = text.splitlines(keepends=True)
         for source in (text, text.encode(), io.StringIO(text),
-                       io.BytesIO(text.encode())):
+                       io.BytesIO(text.encode()), lines, iter(lines),
+                       [line.encode() for line in lines]):
             g = parse_edge_list(source)
             assert (g.labels, g.m) == (labels, m)
     with open(path, encoding="utf-8") as fh:
@@ -361,7 +436,7 @@ def test_drop_edges_matches_comprehension(seed):
         assert all(got.neighbors(v).tolist() == want.neighbors(v).tolist()
                    for v in range(g.n))
         # masked_keys inverts edge_mask on the keys of present edges
-        assert g.masked_keys(g.edge_mask(drop)) == drop & set(keys)
+        assert g.masked_keys(edge_mask(g, drop)) == drop & set(keys)
 
 
 @pytest.mark.parametrize("seed", range(8))

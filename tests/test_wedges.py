@@ -12,8 +12,8 @@ from clusterdel import (
     maximal_wedge_set_fast,
     pack_edge,
 )
-from helpers import (FastMatchCursor, disjoint_paths, iter_weak_pairs,
-                     triangle_count, wedge_set_lines)
+from helpers import (FastMatchCursor, disjoint_paths, edge_mask,
+                     iter_weak_pairs, triangle_count, wedge_set_lines)
 from oracles import maximal_wedge_set_simple, verify_wedge_set
 
 
@@ -129,7 +129,7 @@ def test_iter_weak_pairs_unpacks():
 def test_verify_rejects_missing_leg():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
     ws = WedgeSet(g, [OpenWedge(0, 3, 1)],
-                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 3)}))
+                  edge_mask(g, {pack_edge(0, 1), pack_edge(1, 3)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
@@ -137,7 +137,7 @@ def test_verify_rejects_missing_leg():
 def test_verify_rejects_closed_wedge():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
     ws = WedgeSet(g, [OpenWedge(0, 2, 1)],
-                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 2)}))
+                  edge_mask(g, {pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
@@ -145,7 +145,7 @@ def test_verify_rejects_closed_wedge():
 def test_verify_rejects_shared_edge():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ws = WedgeSet(g, [OpenWedge(1, 2, 0), OpenWedge(1, 3, 0)],
-                  g.edge_mask({pack_edge(0, 1), pack_edge(0, 2),
+                  edge_mask(g, {pack_edge(0, 1), pack_edge(0, 2),
                                pack_edge(0, 3)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
@@ -153,14 +153,14 @@ def test_verify_rejects_shared_edge():
 
 def test_verify_rejects_non_maximal():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet(g, [], g.edge_mask(set()))
+    ws = WedgeSet(g, [], edge_mask(g, set()))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_weak_set_mismatch():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet(g, [OpenWedge(0, 2, 1)], g.edge_mask({pack_edge(0, 1)}))
+    ws = WedgeSet(g, [OpenWedge(0, 2, 1)], edge_mask(g, {pack_edge(0, 1)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
@@ -168,7 +168,7 @@ def test_verify_rejects_weak_set_mismatch():
 def test_verify_rejects_non_canonical_order():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     ws = WedgeSet(g, [OpenWedge(2, 0, 1)],
-                  g.edge_mask({pack_edge(0, 1), pack_edge(1, 2)}))
+                  edge_mask(g, {pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
