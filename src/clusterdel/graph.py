@@ -135,9 +135,9 @@ class Graph:
 # A plain line of a chunk's text (see _chunk_text), from its start: blank,
 # or two tokens of at most 18 digits (which always fit int64) between
 # blanks, then its "\n" and the "\v" that follows each line but the last,
-# or the end of the text.  So "\r" inside a line is a blank.  (An empty
-# alternative, where "?" would do, checks big-mfp's file 13% faster on
-# CPython 3.11.)
+# or the end of the text.  Lines break at "\n" alone here, so "\r" inside
+# a line is a blank.  (An empty alternative, where "?" would do, checks
+# big-mfp's file 13% faster on CPython 3.11.)
 _TOKEN = r"[+-]?[0-9]{1,18}"
 _PLAIN_LINE = (rf"[ \t\r]*(?:{_TOKEN}[ \t\r]+{_TOKEN}[ \t\r]*|)"
                r"(?:\n\v|\n?\Z)")
