@@ -13,9 +13,11 @@ Examples:
 
 Exit codes: 0 ok, 1 unreadable or malformed input (a missing file, bytes
 that are not UTF-8, a truncated or corrupted .gz, or a bad line),
-2 relaxation arc budget exceeded, 3 invalid flags or parameters,
-4 internal error (a result failed one of its invariant checks; this is a
-bug, not a problem with the input).
+2 relaxation arc budget exceeded, 3 invalid flags or parameters (among
+them a negative --lp-arc-budget, and a --merge-budget-ms that is NaN or
+negative; both are checked before the input is read), 4 internal error
+(a result failed one of its invariant checks; this is a bug, not a
+problem with the input).
 """
 
 from __future__ import annotations
@@ -109,6 +111,10 @@ def _cmd_run(args) -> int:
         return _fail("--seed only applies to --strategy random", 3)
     if args.merge_budget_ms is not None and not args.merge:
         return _fail("--merge-budget-ms needs --merge", 3)
+    if args.merge_budget_ms is not None and not args.merge_budget_ms >= 0:
+        return _fail("--merge-budget-ms must be a non-negative number", 3)
+    if args.lp_arc_budget < 0:
+        return _fail("--lp-arc-budget must not be negative", 3)
     try:
         g = _load_graph(args.infile)
     except _LOAD_ERRORS as exc:
@@ -153,6 +159,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_lb(args) -> int:
+    if args.lp_arc_budget < 0:
+        return _fail("--lp-arc-budget must not be negative", 3)
     try:
         g = _load_graph(args.infile)
     except _LOAD_ERRORS as exc:

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -239,77 +240,105 @@ def merge_clusters(g: Graph, clustering: Clustering,
 
     Each pass visits the clusters largest-first (ties by cluster id), and
     each visited cluster absorbs every later cluster it still can, in that
-    order.  Passes repeat until one makes no merge or a budget runs out.
-    Deletions never increase, so stopping early is always safe.
+    order.  Passes repeat until one makes no merge or a budget runs out;
+    budget_ms must be a non-negative number of milliseconds (inf means no
+    budget).  Deletions never increase, so stopping early is always safe.
 
-    A cluster that can join cluster a lies wholly inside the neighbourhood
-    of any one member of a, and a only grows during its turn.  So a's
-    candidates are the clusters owning that member's neighbours, and a
-    pass costs the sum of those degrees plus the clique tests.  An empty
-    cluster can join any cluster and sorts after every non-empty one, so
-    the first cluster of the first pass absorbs them all.
+    Call a pair of clusters complete when every pair of their members is
+    an edge.  A cluster grows only during its own turn, so when a takes
+    its turn, every later cluster is as the pass found it.  A later b can
+    then join a, which has absorbed b1, b2, ... so far in this turn,
+    exactly when each of (a, b), (b1, b), (b2, b), ... is complete.  So a
+    pass starts with one numpy count of the cut edges per pair of
+    clusters, a pair being complete when its count is the product of the
+    two sizes, and only the complete pairs reach Python.  A pass costs
+    that count (a sort of the cut edges) plus, per complete pair, one set
+    lookup for each cluster absorbed earlier in the turn; the pass that
+    finds nothing to merge is the count alone.  An empty cluster is
+    complete with any cluster and sorts after every non-empty one, so the
+    first cluster of the first pass absorbs them all.  A node in no
+    cluster stays in none (assignment -1).
     """
-    clusters = [list(c) for c in clustering.clusters]
-    owner = [-1] * g.n
-    for c, members in enumerate(clusters):
-        for v in members:
-            owner[v] = c
-    empties = [c for c, members in enumerate(clusters) if not members]
-    dead = [False] * len(clusters)
-    position = [0] * len(clusters)
+    if budget_ms is not None and not budget_ms >= 0:
+        raise ValueError("merge budget must be a non-negative number of "
+                         f"milliseconds, not {budget_ms!r}")
+    clusters = clustering.clusters
+    k0 = len(clusters)
+    sizes = list(map(len, clusters))
+    # owner[v]: the id of the cluster holding node v, or -1
+    owner = np.full(g.n, -1, dtype=np.int64)
+    owner[np.fromiter(chain.from_iterable(clusters), dtype=np.int64,
+                      count=sum(sizes))] = np.repeat(
+        np.arange(k0, dtype=np.int64), sizes)
+    # the clusters at the two ends of each cut edge between owned nodes
+    ou, ov = owner[g._edge_u], owner[g._edge_v]
+    cut = (ou != ov) & (ou >= 0) & (ov >= 0)
+    ou, ov = ou[cut], ov[cut]
+    alive = [True] * k0
+    root = list(range(k0))
+    empties = 0 in sizes
     deadline = (perf_counter() + budget_ms / 1000.0
                 if budget_ms is not None else None)
     passes = 0
     out_of_time = False
     while not out_of_time and (max_passes is None or passes < max_passes):
         passes += 1
-        order = sorted((c for c in range(len(clusters)) if not dead[c]),
-                       key=lambda c: (-len(clusters[c]), c))
-        for i, c in enumerate(order):
-            position[c] = i
+        sizes_now = np.array(sizes, dtype=np.int64)
+        live = np.flatnonzero(alive)
+        live = live[np.argsort(-sizes_now[live], kind="stable")]
+        size_at = sizes_now[live]
+        k = len(live)
+        position = np.empty(k0, dtype=np.int64)
+        position[live] = np.arange(k)
+        pu, pv = position[ou], position[ov]
+        keys, counts = np.unique(np.minimum(pu, pv) * k + np.maximum(pu, pv),
+                                 return_counts=True)
+        # complete pairs as keys p * k + q (p < q), by p then q
+        keys = keys[counts == size_at[keys // k] * size_at[keys % k]]
+        if empties:
+            # position 0 takes the empty positions after its own partners
+            empties = False
+            first = max(int(np.count_nonzero(size_at)), 1)
+            keys = np.insert(keys, np.searchsorted(keys, k),
+                             np.arange(first, k))
+        complete = set(keys.tolist())
+        ps, qs = np.divmod(keys, k)
         merged_any = False
-        for ai, a in enumerate(order):
-            if dead[a]:
+        turn, absorbed = -1, []
+        for p, q, a, b in zip(ps.tolist(), qs.tolist(), live[ps].tolist(),
+                              live[qs].tolist()):
+            if p != turn:
+                turn, absorbed = p, []
+            if not (alive[a] and alive[b]):
                 continue
-            # owner[] never names a dead cluster, so a later position
-            # is the only filter
-            later = sorted(p for p in {position[owner[y]] for y in
-                                       g.neighbors(clusters[a][0]).tolist()}
-                           if p > ai) if clusters[a] else []
-            if empties:
-                # only the first turn of the first pass sees the empty
-                # clusters, and it absorbs them all
-                later += [position[c] for c in empties if c != a]
-                empties = []
-            for p in later:
-                b = order[p]
-                if deadline is not None and perf_counter() > deadline:
-                    out_of_time = True
-                    break
-                if _mergeable(g, clusters[a], clusters[b]):
-                    for v in clusters[b]:
-                        owner[v] = a
-                    clusters[a] = sorted(clusters[a] + clusters[b])
-                    dead[b] = True
-                    merged_any = True
-            if out_of_time:
+            if deadline is not None and perf_counter() > deadline:
+                out_of_time = True
                 break
+            # an empty b is complete with every cluster
+            if absorbed and sizes[b] and any(r * k + q not in complete
+                                             for r in absorbed):
+                continue
+            absorbed.append(q)
+            root[b] = a
+            alive[b] = False
+            sizes[a] += sizes[b]
+            merged_any = True
         if not merged_any:
             break
-    survivors = [clusters[c] for c in range(len(clusters)) if not dead[c]]
-    assignment = [-1] * g.n
-    for cid, members in enumerate(survivors):
-        for v in members:
-            assignment[v] = cid
-    return Clustering(assignment, survivors)
-
-
-def _mergeable(g: Graph, c1: list[int], c2: list[int]) -> bool:
-    for u in c1:
-        for v in c2:
-            if not g.has_edge(u, v):
-                return False
-    return True
+        # an unowned node's -1 picks the appended -1
+        root_of = np.array(root + [-1], dtype=np.int64)
+        owner = root_of[owner]
+        ou, ov = root_of[ou], root_of[ov]
+        cut = ou != ov
+        ou, ov = ou[cut], ov[cut]
+    survivors = [c for c in range(k0) if alive[c]]
+    new_id = np.full(k0 + 1, -1, dtype=np.int64)
+    new_id[survivors] = np.arange(len(survivors))
+    # members in cluster-id order, each cluster's sorted, unowned first
+    members = np.argsort(owner, kind="stable").tolist()
+    bounds = np.cumsum(np.bincount(owner + 1, minlength=k0 + 1)).tolist()
+    return Clustering(new_id[owner].tolist(),
+                      [members[bounds[c]:bounds[c + 1]] for c in survivors])
 
 
 def apply_merge(g: Graph, result: CDResult,

@@ -124,6 +124,30 @@ def test_flag_combinations_exit_3(argv, tight_file):
 
 
 @pytest.mark.parametrize("argv", [
+    ["run", "--merge", "--merge-budget-ms", "nan"],
+    ["run", "--merge", "--merge-budget-ms", "-5"],
+    ["run", "--merge", "--merge-budget-ms=-inf"],
+    ["run", "--algo", "stclp", "--lp-arc-budget", "-3"],
+    ["run", "--algo", "mfp", "--lp-arc-budget", "-1"],
+    ["lb", "--lp-arc-budget", "-3"],
+])
+def test_bad_budgets_exit_3_before_reading_input(argv, tight_file, tmp_path):
+    for infile in (tight_file, str(tmp_path / "absent.txt")):
+        code, out, err = run_cli(argv[:1] + ["--in", infile] + argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "must" in err
+
+
+def test_run_merge_with_infinite_budget_merges(tight_file):
+    _, merged_out, _ = run_cli(["run", "--in", tight_file, "--merge"])
+    code, out, err = run_cli(["run", "--in", tight_file, "--merge",
+                              "--merge-budget-ms", "inf"])
+    assert code == 0 and err == ""
+    assert out == merged_out
+
+
+@pytest.mark.parametrize("argv", [
     ["run"],
     ["run", "--in", "g.txt", "--algo", "bogus"],
     ["frobnicate"],

@@ -6,8 +6,10 @@ Each must give exactly what its reference gives:
 - pivot: the per-round audit, clusters and assignment of pivoting on a
   residual-graph object, for every strategy, and of the ratio pivot by a
   full scan per round;
-- the neighbourhood-driven merge: the merged clusters and assignment of
-  the pairwise scan, for one, two or unlimited passes;
+- the merge driven by cross-edge counts: the merged clusters and
+  assignment of the pairwise scan, for none, one, two or unlimited
+  passes, on pivot outputs and on arbitrary clique partitions (empty
+  clusters and singletons among them);
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
 - the preparation: the weak set, weak mask and stripped graph's
@@ -22,6 +24,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         best_of_random, match_flip_pivot,
@@ -227,3 +231,83 @@ def test_merge_with_empty_clusters(clusters):
         assert merged.assignment == want_assignment
         if passes != 0:
             assert [] not in merged.clusters or merged.clusters == [[]]
+
+
+def clustering_of(n: int, clusters: list[list[int]]) -> Clustering:
+    assignment = [-1] * n
+    for cid, members in enumerate(clusters):
+        for v in members:
+            assignment[v] = cid
+    return Clustering(assignment, clusters)
+
+
+def assert_same_merge_of(g: Graph, clusters: list[list[int]]) -> None:
+    clustering = clustering_of(g.n, clusters)
+    for passes in (None, 0, 1, 2):
+        merged = merge_clusters(g, clustering, passes)
+        want_assignment, want_clusters = merge_clusters_pairwise(
+            g, clusters, passes)
+        assert merged.clusters == want_clusters
+        assert merged.assignment == want_assignment
+    unmerged = merge_clusters(g, clustering, budget_ms=0)
+    assert unmerged.clusters == clusters
+    assert unmerged.assignment == clustering.assignment
+
+
+@st.composite
+def clique_partitions(draw) -> tuple[Graph, list[list[int]]]:
+    """A random graph and a partition of its nodes into cliques, in a
+    random cluster order, with up to three empty clusters anywhere; in
+    some, a few nodes are left out of every cluster."""
+    n = draw(st.integers(0, 12))
+    density = draw(st.sampled_from([0.2, 0.6, 0.9, 1.0]))
+    rng = draw(st.randoms(use_true_random=False))
+    g = Graph.from_edges(n, [(u, v) for u in range(n)
+                             for v in range(u + 1, n)
+                             if rng.random() < density])
+    # each node joins its drawn group if adjacent to all of it so far,
+    # else starts a group of its own
+    labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n,
+                           max_size=n))
+    groups: dict[object, list[int]] = {}
+    left_out = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)
+                    if draw(st.booleans()) else st.just(set()))
+    for v in draw(st.permutations(range(n))):
+        if v in left_out:
+            continue
+        group = groups.setdefault(labels[v], [])
+        if all(g.has_edge(u, v) for u in group):
+            group.append(v)
+        else:
+            groups[("own", v)] = [v]
+    clusters = [sorted(c) for c in groups.values() if c]
+    for _ in range(draw(st.integers(0, 3))):
+        clusters.insert(draw(st.integers(0, len(clusters))), [])
+    return g, draw(st.permutations(clusters))
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_partitions())
+def test_merge_of_any_clique_partition_matches_pairwise(case):
+    assert_same_merge_of(*case)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_merge_rejoins_split_planted_cliques(seed):
+    # cliques cut into pieces: the first pass joins most pieces back,
+    # and noise edges let pieces of different cliques merge too
+    rng = random.Random(seed)
+    sizes = [rng.randint(2, 9) for _ in range(rng.randint(8, 25))]
+    g = planted_clusters(sizes, 0.0, rng.randint(0, 40), seed)
+    clusters, base = [], 0
+    for size in sizes:
+        members = list(range(base, base + size))
+        rng.shuffle(members)
+        cuts = sorted(rng.sample(range(1, size), rng.randint(1, size - 1)))
+        clusters += [sorted(members[i:j])
+                     for i, j in zip([0] + cuts, cuts + [size])]
+        base += size
+    rng.shuffle(clusters)
+    assert_same_merge_of(g, clusters)
+    once = merge_clusters(g, clustering_of(g.n, clusters), 1)
+    assert once.num_clusters <= len(clusters) // 2

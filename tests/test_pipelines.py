@@ -173,6 +173,25 @@ def test_apply_merge_with_zero_budget_keeps_deletions():
     assert out.clustering.clusters == res.clustering.clusters
 
 
+@pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
+def test_merge_rejects_nan_or_negative_budget(budget):
+    g, _, _ = tight_instance(12)
+    res = match_flip_pivot(g, PivotStrategy.degree())
+    with pytest.raises(ValueError, match="non-negative"):
+        merge_clusters(g, res.clustering, budget_ms=budget)
+    with pytest.raises(ValueError, match="non-negative"):
+        apply_merge(g, res, budget_ms=budget)
+
+
+def test_merge_with_infinite_budget_is_unbudgeted():
+    g, _, _ = tight_instance(12)
+    res = match_flip_pivot(g, PivotStrategy.degree())
+    unbudgeted = merge_clusters(g, res.clustering)
+    assert unbudgeted.clusters != res.clustering.clusters
+    assert merge_clusters(g, res.clustering,
+                          budget_ms=float("inf")) == unbudgeted
+
+
 def test_apply_merge_rescoring():
     g, _, _ = tight_instance(8)
     res = match_flip_pivot(g, PivotStrategy.degree())
