@@ -9,7 +9,7 @@ Each must give exactly what its reference gives:
 - the merge driven by cross-edge counts: the merged clusters and
   assignment of the pairwise scan, for none, one, two or unlimited
   passes, on pivot outputs and on arbitrary clique partitions (empty
-  clusters and singletons among them);
+  clusters, singletons and nodes in no cluster among them);
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
 - the preparation: the weak set, weak mask and stripped graph's
