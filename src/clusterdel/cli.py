@@ -166,7 +166,7 @@ def _cmd_lb(args) -> int:
     except _LOAD_ERRORS as exc:
         return _fail(str(exc), 1)
     ws = maximal_wedge_set_fast(g)
-    print(f"wedges={len(ws.wedges)}")
+    print(f"wedges={ws.wedge_count}")
     print(f"weak_edges={ws.weak_count}")
     try:
         sol = solve_stc_lp(g, arc_budget=args.lp_arc_budget)

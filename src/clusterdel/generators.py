@@ -4,11 +4,12 @@ from __future__ import annotations
 
 import math
 import random
+from array import array
 
 import numpy as np
 
 from .graph import Graph, pack_edge
-from .wedges import OpenWedge, WedgeSet
+from .wedges import WedgeSet
 
 
 def tight_instance(n: int) -> tuple[Graph, WedgeSet, int]:
@@ -27,16 +28,16 @@ def tight_instance(n: int) -> tuple[Graph, WedgeSet, int]:
     edges = [(i, j) for i in range(q) for j in range(i + 1, q)]
     edges += [(i, q + i) for i in range(q)]
     g = Graph.from_edges(n, edges)
-    wedges = []
+    records = array("q")
     weak: set[int] = set()
     for i in range(q):
         j = (i + 1) % q
-        wedges.append(OpenWedge(min(i, q + j), max(i, q + j), j))
+        records.extend((min(i, q + j), max(i, q + j), j))
         weak.add(pack_edge(i, j))
         weak.add(pack_edge(j, q + j))
     weak_mask = np.fromiter((key in weak for key in g._edge_keys), bool,
                             g.m)
-    return g, WedgeSet(g, wedges, weak_mask), q
+    return g, WedgeSet(g, records, weak_mask), q
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

@@ -84,6 +84,9 @@ class Graph:
         else:
             self._nbrs = np.zeros(0, dtype=np.int64)
             self._slot_eid = np.zeros(0, dtype=np.int64)
+        for arr in (self._edge_u, self._edge_v, self._indptr, self._nbrs,
+                    self._slot_eid):
+            arr.flags.writeable = False
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
@@ -99,7 +102,7 @@ class Graph:
         return cls(n, seen, labels)
 
     def neighbors(self, v: int) -> np.ndarray:
-        """Sorted array of neighbor ids (a view; do not mutate)."""
+        """Sorted array of neighbor ids (a read-only view)."""
         return self._nbrs[self._indptr[v]:self._indptr[v + 1]]
 
     def degree(self, v: int) -> int:

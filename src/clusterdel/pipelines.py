@@ -123,7 +123,7 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
         if wedge_set is not None and wedge_set.graph is not g:
             raise ValueError("wedge_set was not matched on g")
         ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
-        wedges, lp_half, values = len(ws.wedges), None, None
+        wedges, lp_half, values = ws.wedge_count, None, None
         lower_bound, weak_mask = 2 * wedges, ws.weak_mask
     elif algorithm == "stclp":
         sol = solve_stc_lp(g, arc_budget)
@@ -155,8 +155,9 @@ def _score(cert: Certificate, clustering: Clustering, audit: PivotAudit,
         b_half = m_w - m_1
         n_half = int(np.count_nonzero(weak & ~cut & (values == 1)))
     # every cluster must be a clique of g
-    internal_pairs = sum(len(c) * (len(c) - 1) // 2
-                         for c in clustering.clusters)
+    sizes = np.fromiter(map(len, clustering.clusters), dtype=np.int64,
+                        count=len(clustering.clusters))
+    internal_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if internal_pairs != g.m - deletions:
         raise InvariantError("non-clique cluster")
     if not merged:

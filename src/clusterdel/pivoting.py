@@ -22,8 +22,11 @@ strategy, and every trial of best-of-T.  ``pivot`` builds them for a
 single call.  The audit is counted while a cluster is removed: every live
 neighbour a member still has is a boundary edge, and every neighbour
 already assigned to the new cluster is an internal edge.  A pivot of live
-degree 0 becomes a singleton without that pass.  All three strategies
-share the loop and differ only in their selector.
+degree 0 becomes a singleton without that pass.  The audit keeps its
+rounds as flat integer records, three per round, and builds no tuple per
+round: the pipelines read only its totals, and
+``PivotAudit.per_iteration`` builds the tuples on each read.  All three
+strategies share the loop and differ only in their selector.
 
 The degree selector keeps one int key per heap entry, (top - live
 degree) * n + id, for the top initial degree.  Once the top live degree
@@ -98,7 +101,14 @@ class Clustering:
 class PivotAudit:
     boundary_edges: int
     internal_nonedges: int
-    per_iteration: list[tuple[int, int, int]]  # (pivot, |B_k|, |N_k|)
+    # rounds[3t:3t + 3]: round t's (pivot, |B_k|, |N_k|)
+    rounds: list[int]
+
+    @property
+    def per_iteration(self) -> list[tuple[int, int, int]]:
+        """(pivot, |B_k|, |N_k|) per round, in a new list on each read."""
+        r = self.rounds
+        return list(zip(r[0::3], r[1::3], r[2::3]))
 
 
 class _DegreeSelector:
@@ -298,7 +308,9 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
         selector = _RandomSelector(alive, strategy.seed)
     assignment = [-1] * n
     clusters: list[list[int]] = []
-    per_iteration: list[tuple[int, int, int]] = []
+    # a list: array("q").append parses each int, at 2-3 times the cost
+    rounds: list[int] = []
+    record = rounds.append
     total_b = 0
     total_n = 0
     left = n
@@ -310,7 +322,9 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
             alive[k] = 0
             assignment[k] = cid
             clusters.append([k])
-            per_iteration.append((k, 0, 0))
+            record(k)
+            record(0)
+            record(0)
             left -= 1
             continue
         members = [u for u in adj[k] if alive[u]]
@@ -334,13 +348,15 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
         b = len(touched)
         nn = d * (d - 1) // 2 - (inside - d) // 2
         clusters.append(cluster)
-        per_iteration.append((k, b, nn))
+        record(k)
+        record(b)
+        record(nn)
         total_b += b
         total_n += nn
         left -= len(cluster)
         selector.degrees_changed(touched)
     return Clustering(assignment, clusters), PivotAudit(total_b, total_n,
-                                                        per_iteration)
+                                                        rounds)
 
 
 def clustering_lines(clustering: Clustering, g: Graph) -> list[str]:

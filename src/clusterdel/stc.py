@@ -170,8 +170,11 @@ def solve_stc_lp(g: Graph,
     """Solve the relaxation exactly; objective equals the matching size.
 
     Raises ArcBudgetError if the cut network would need more than
-    arc_budget arcs (2 per edge plus 2 per open wedge).
+    arc_budget arcs (2 per edge plus 2 per open wedge), and ValueError if
+    arc_budget is negative.
     """
+    if arc_budget < 0:
+        raise ValueError(f"arc_budget must not be negative, not {arc_budget}")
     ptr, adj = _gallai_csr(g, arc_budget)
     m = g.m
     mate_l, mate_r = _hopcroft_karp(ptr, adj)

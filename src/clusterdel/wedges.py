@@ -8,14 +8,19 @@ E_W.  It is held as a mask over the graph's edge ids.
 
 The matcher is the pipelines' hot loop, so its skip list lives in local
 variables, it tests closure in the graph's key index directly, and it
-marks each leg by the edge id that the leg's CSR slot records.
+marks each leg by the edge id that the leg's CSR slot records.  It keeps
+the matched wedges as flat integer records, three per wedge in one
+``array('q')``, and builds no object per wedge: the pipelines read only
+the count and the mask, and ``WedgeSet.wedges`` builds the ``OpenWedge``
+tuples on each read.
 """
 
 from __future__ import annotations
 
+from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -35,10 +40,22 @@ class WedgeSet:
     """Edge-disjoint open wedges of graph plus their weak edges E_W."""
 
     graph: Graph
-    wedges: list[OpenWedge]
+    # records[3t:3t + 3]: the t-th wedge's (i, j, k)
+    records: Sequence[int]
     # weak_mask[e]: edge e of graph is a leg of a wedge
     weak_mask: np.ndarray
     inspections: int = 0
+
+    @property
+    def wedges(self) -> list[OpenWedge]:
+        """W in matching order, in a new list on each read."""
+        r = self.records
+        return list(map(OpenWedge, r[0::3], r[1::3], r[2::3]))
+
+    @property
+    def wedge_count(self) -> int:
+        """|W|, the certified lower bound on deletions."""
+        return len(self.records) // 3
 
     @property
     def weak_edges(self) -> set[int]:
@@ -67,7 +84,9 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     most once per corner), so inspections are O(min(m^1.5, m + T)).
     """
     weak = bytearray(g.m)
-    wedges: list[OpenWedge] = []
+    # 8 bytes a record, holding no int objects (W has 500k wedges at m = 1M)
+    records = array("q")
+    record = records.append
     inspections = 0
     indptr = g._indptr.tolist()
     nbrs = g._nbrs
@@ -104,7 +123,9 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
                 if (ubase | w) not in edge_keys:  # live is sorted: u < w
                     weak[eids[i]] = 1
                     weak[eids[j]] = 1
-                    wedges.append(OpenWedge(u, w, v))
+                    record(u)
+                    record(w)
+                    record(v)
                     nxt[jp] = nxt[j]
                     break
                 jp = j
@@ -114,4 +135,4 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
             i = nxt[i]
             if i < 0:
                 break
-    return WedgeSet(g, wedges, np.frombuffer(weak, dtype=bool), inspections)
+    return WedgeSet(g, records, np.frombuffer(weak, dtype=bool), inspections)

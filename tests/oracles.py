@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from clusterdel import Graph, OpenWedge, WedgeSet, pack_edge
+from clusterdel import Graph, WedgeSet, pack_edge
 from clusterdel.graph import _SHIFT
 from helpers import edge_ids, edge_mask, unpack_edge
 
@@ -52,7 +52,7 @@ def enumerate_open_wedges(g: Graph,
 def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
     """Greedy matcher over the full wedge enumeration."""
     weak: set[int] = set()
-    wedges: list[OpenWedge] = []
+    records: list[int] = []
     inspections = 0
 
     def sink(i: int, j: int, k: int) -> None:
@@ -66,10 +66,10 @@ def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
             return
         weak.add(e1)
         weak.add(e2)
-        wedges.append(OpenWedge(i, j, k))
+        records.extend((i, j, k))
 
     enumerate_open_wedges(g, sink)
-    return WedgeSet(g, wedges, edge_mask(g, weak), inspections)
+    return WedgeSet(g, records, edge_mask(g, weak), inspections)
 
 
 def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:

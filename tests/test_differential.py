@@ -15,7 +15,8 @@ Each must give exactly what its reference gives:
 - the preparation: the weak set, weak mask and stripped graph's
   adjacency lists of taking the weak edges as a packed-key set (by an
   edge loop over the relaxation values on stclp), searching it back into
-  a mask in key order, and copying the graph without them;
+  a mask in key order, and copying the graph without them; and an mfp
+  result's wedge count and weak mask, those of the matcher;
 - best-of-T: every trial, though all of them pivot one prepared set of
   adjacency lists, equals an independent pipeline call with its seed.
 """
@@ -28,7 +29,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
-                        best_of_random, match_flip_pivot,
+                        best_of_random, er_graph, match_flip_pivot,
                         maximal_wedge_set_fast, merge_clusters, pivot,
                         solve_stc_lp, stc_lp_round)
 from clusterdel import pipelines
@@ -118,6 +119,15 @@ def assert_same_preparation(g: Graph) -> None:
                             for v in range(g.n)]
 
 
+def assert_certificate_is_the_matching(g: Graph) -> None:
+    ws = maximal_wedge_set_fast(g)
+    for strategy in (PivotStrategy.degree(), PivotStrategy.random(3)):
+        res = match_flip_pivot(g, strategy)
+        assert res.wedges == ws.wedge_count == len(ws.wedges)
+        assert res.lower_bound_half_units == 2 * ws.wedge_count
+        assert res.certificate.weak_mask.tolist() == ws.weak_mask.tolist()
+
+
 def assert_same_trials(g: Graph, trials: int = 3) -> None:
     for algorithm, pipeline in (("mfp", match_flip_pivot),
                                 ("stclp", stc_lp_round)):
@@ -154,7 +164,15 @@ def assert_same_as_references(g: Graph) -> None:
     assert_same_merges(g, g)
     assert_same_scores(g)
     assert_same_preparation(g)
+    assert_certificate_is_the_matching(g)
     assert_same_trials(g)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 30), st.sampled_from([0.1, 0.25, 0.5, 0.8]),
+       st.integers(0, 10**6))
+def test_mfp_certificate_is_the_matching(n, p, seed):
+    assert_certificate_is_the_matching(er_graph(n, p, seed=seed))
 
 
 def test_acceptance_corpus():

@@ -341,6 +341,18 @@ def test_adjacency_accessors():
     assert list(g.edges()) == [(0, 1), (0, 3), (0, 2), (2, 3)]
 
 
+@pytest.mark.parametrize("edges", [[(0, 1), (1, 2), (2, 3)], []])
+def test_graph_arrays_are_read_only(edges):
+    g = Graph.from_edges(4, edges)
+    for arr in (g._edge_u, g._edge_v, g._indptr, g._nbrs, g._slot_eid):
+        assert not arr.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        g.neighbors(1)[:1] = 3
+    if edges:
+        assert g.neighbors(1).tolist() == [0, 2]
+        assert g.has_edge(1, 0)
+
+
 def test_edge_ids_follow_first_appearance():
     g = Graph.from_edges(4, [(2, 3), (0, 1), (3, 2)])
     ids = edge_ids(g)

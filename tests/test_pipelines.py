@@ -23,7 +23,7 @@ from clusterdel import (
     stc_lp_round,
     tight_instance,
 )
-from clusterdel import pipelines
+from clusterdel import pipelines, wedges
 from helpers import clusters_are_cliques, cut_deletions
 from oracles import maximal_wedge_set_simple
 
@@ -80,6 +80,19 @@ def test_stclp_respects_arc_budget():
     g = er_graph(20, 0.4, seed=5)
     with pytest.raises(ArcBudgetError):
         stc_lp_round(g, PivotStrategy.degree(), arc_budget=2 * g.m + 2)
+
+
+def test_stclp_rejects_a_negative_arc_budget():
+    g = tight_instance(12)[0]
+    with pytest.raises(ValueError, match="negative"):
+        solve_stc_lp(g, -3)
+    with pytest.raises(ValueError, match="negative"):
+        stc_lp_round(g, PivotStrategy.degree(), arc_budget=-3)
+    with pytest.raises(ValueError, match="negative"):
+        best_of_random(g, 2, algorithm="stclp", arc_budget=-3)
+    # a budget of 0 is a budget, which the smallest network exceeds
+    with pytest.raises(ArcBudgetError):
+        solve_stc_lp(g, 0)
 
 
 def test_deletions_decompose_by_weakness():
@@ -251,6 +264,26 @@ def test_wedge_injection_overrides_matcher():
     assert res.wedges == q
     assert res.weak_edges == ws.weak_count
     assert res.weak_set == ws.weak_edges
+
+
+def test_pipelines_build_no_wedge_tuples(monkeypatch):
+    g = er_graph(40, 0.15, seed=2)
+    want = [match_flip_pivot(g, PivotStrategy.degree()),
+            best_of_random(g, 3)[0]]
+
+    def no_tuples(*args):
+        raise AssertionError("built an OpenWedge")
+
+    monkeypatch.setattr(wedges, "OpenWedge", no_tuples)
+    got = [match_flip_pivot(g, PivotStrategy.degree()),
+           best_of_random(g, 3)[0]]
+    assert got[0].wedges > 0
+    for a, b in zip(got, want):
+        a, b = a.to_json_dict(), b.to_json_dict()
+        del a["runtime_ms"], b["runtime_ms"]
+        assert a == b
+    with pytest.raises(AssertionError, match="OpenWedge"):
+        maximal_wedge_set_fast(g).wedges
 
 
 def test_stclp_weak_set_is_the_lp_labeling():

@@ -107,6 +107,17 @@ def test_empty_graph():
     assert audit.per_iteration == []
 
 
+def test_audit_rounds_are_built_anew_on_each_read():
+    g = Graph.from_edges(5, [(0, 1), (1, 2), (3, 4)])
+    _, audit = pivot(g, PivotStrategy.degree())
+    rounds = audit.per_iteration
+    assert rounds == [(1, 0, 1), (3, 0, 0)]
+    rounds[0] = (0, 9, 9)
+    rounds.append((4, 0, 0))
+    assert audit.per_iteration == [(1, 0, 1), (3, 0, 0)]
+    assert audit.per_iteration is not audit.per_iteration
+
+
 def assignment_recount(g, clustering):
     boundary = cut_deletions(g, clustering.assignment)
     internal = 0

@@ -128,7 +128,7 @@ def test_iter_weak_pairs_unpacks():
 
 def test_verify_rejects_missing_leg():
     g = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    ws = WedgeSet(g, [OpenWedge(0, 3, 1)],
+    ws = WedgeSet(g, [0, 3, 1],
                   edge_mask(g, {pack_edge(0, 1), pack_edge(1, 3)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
@@ -136,7 +136,7 @@ def test_verify_rejects_missing_leg():
 
 def test_verify_rejects_closed_wedge():
     g = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
-    ws = WedgeSet(g, [OpenWedge(0, 2, 1)],
+    ws = WedgeSet(g, [0, 2, 1],
                   edge_mask(g, {pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
@@ -144,7 +144,7 @@ def test_verify_rejects_closed_wedge():
 
 def test_verify_rejects_shared_edge():
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
-    ws = WedgeSet(g, [OpenWedge(1, 2, 0), OpenWedge(1, 3, 0)],
+    ws = WedgeSet(g, [1, 2, 0, 1, 3, 0],
                   edge_mask(g, {pack_edge(0, 1), pack_edge(0, 2),
                                pack_edge(0, 3)}))
     with pytest.raises(ValueError):
@@ -160,17 +160,28 @@ def test_verify_rejects_non_maximal():
 
 def test_verify_rejects_weak_set_mismatch():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet(g, [OpenWedge(0, 2, 1)], edge_mask(g, {pack_edge(0, 1)}))
+    ws = WedgeSet(g, [0, 2, 1], edge_mask(g, {pack_edge(0, 1)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
 
 
 def test_verify_rejects_non_canonical_order():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
-    ws = WedgeSet(g, [OpenWedge(2, 0, 1)],
+    ws = WedgeSet(g, [2, 0, 1],
                   edge_mask(g, {pack_edge(0, 1), pack_edge(1, 2)}))
     with pytest.raises(ValueError):
         verify_wedge_set(g, ws)
+
+
+def test_wedges_are_built_anew_on_each_read():
+    g = disjoint_paths(3)
+    ws = maximal_wedge_set_fast(g)
+    wedges = ws.wedges
+    assert ws.wedge_count == len(wedges) == 3
+    wedges.clear()
+    assert ws.wedges == [OpenWedge(0, 2, 1), OpenWedge(3, 5, 4),
+                         OpenWedge(6, 8, 7)]
+    assert ws.wedges is not ws.wedges
 
 
 def test_wedge_set_lines():
