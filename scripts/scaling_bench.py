@@ -5,12 +5,15 @@ pivot strategies, cluster merging and the whole mfp pipeline.
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
 and the change in current resident memory in MiB.  The problem size is
 the matched wedge count for the matcher and for mfp, edges plus open
-wedges for the LP, the stripped graph's edge count for the pivot rows,
-and the number of clusters fed to the merge.  The pivot and merge rows
-run on the graph left after the fast matcher's weak edges are stripped,
-as the mfp pipeline does; the random pivot uses --seed, and the merge
-input is the degree-pivot clustering.  The mfp row times one whole match_flip_pivot
-call with the degree strategy: matcher, strip, pivot and scoring.
+wedges for the LP, the number of edges kept after the strip for the
+adjacency and pivot rows, and the number of clusters fed to the merge.
+These rows strip and pivot as the mfp pipeline does: the adjacency row
+times ``adjacency_lists``, which reads the kept edges' lists off the
+input graph through the fast matcher's weak mask, and each pivot row
+times ``pivot_lists`` on those lists; the random pivot uses --seed, and
+the merge input is the degree-pivot clustering.  The mfp row times one
+whole match_flip_pivot call with the degree strategy: matcher, strip,
+pivot and scoring.
 Sizes default to a quick sweep; --big adds the acceptance-scale
 instances (m around 10^6 for the matcher, and edges plus open wedges
 around half a million for the LP) and the parse rows.  The parse row
@@ -55,10 +58,10 @@ from clusterdel import (  # noqa: E402
     maximal_wedge_set_fast,
     merge_clusters,
     parse_edge_list,
-    pivot,
     serialize_edge_list,
     solve_stc_lp,
 )
+from clusterdel.pivoting import adjacency_lists, pivot_lists  # noqa: E402
 
 MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
 MATCHER_BIG = [(20_000, 0.005)]
@@ -161,14 +164,16 @@ def timed(fn, *args):
 
 def bench_pivot_and_merge(n: int, p: float, seed: int) -> list[dict]:
     g = er_graph(n, p, seed=seed)
-    ghat = g.drop_edges(maximal_wedge_set_fast(g).weak_edges)
-    rows = []
+    keep = ~maximal_wedge_set_fast(g).weak_mask
+    kept = int(np.count_nonzero(keep))
+    adj, elapsed, delta = timed(adjacency_lists, g, keep)
+    rows = [row("adjacency", g.n, g.m, kept, elapsed, delta)]
     for stage, strategy in (("pivot-degree", PivotStrategy.degree()),
                             ("pivot-ratio", PivotStrategy.ratio()),
                             ("pivot-random", PivotStrategy.random(seed))):
-        _, elapsed, delta = timed(pivot, ghat, strategy)
-        rows.append(row(stage, g.n, g.m, ghat.m, elapsed, delta))
-    clustering, _ = pivot(ghat, PivotStrategy.degree())
+        _, elapsed, delta = timed(pivot_lists, adj, strategy)
+        rows.append(row(stage, g.n, g.m, kept, elapsed, delta))
+    clustering, _ = pivot_lists(adj, PivotStrategy.degree())
     _, elapsed, delta = timed(merge_clusters, g, clustering)
     rows.append(row("merge", g.n, g.m, clustering.num_clusters, elapsed,
                     delta))

@@ -15,12 +15,12 @@ from .pivoting import (Clustering, PivotAudit, PivotStrategy,
                        clustering_lines, pivot)
 from .stc import (ArcBudgetError, DEFAULT_ARC_BUDGET, HalfIntegralSolution,
                   labeling_from_lp, solve_stc_lp)
-from .wedges import OpenWedge, WedgeSet, maximal_wedge_set_fast
+from .wedges import WedgeSet, maximal_wedge_set_fast
 
 __all__ = [
     "ArcBudgetError", "CDResult", "Clustering", "DEFAULT_ARC_BUDGET",
     "EdgeListParseError", "Graph", "HalfIntegralSolution", "InvariantError",
-    "OpenWedge", "PivotAudit", "PivotStrategy", "WedgeSet", "apply_merge",
+    "PivotAudit", "PivotStrategy", "WedgeSet", "apply_merge",
     "best_of_random", "clustering_lines", "er_graph", "labeling_from_lp",
     "match_flip_pivot", "maximal_wedge_set_fast", "merge_clusters",
     "pack_edge", "parse_edge_list", "pivot", "serialize_edge_list",

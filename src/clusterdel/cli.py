@@ -11,13 +11,13 @@ Examples:
   clusterdel lb --in graph.txt
   clusterdel gen --tight 16 --out tight16.txt
 
-Exit codes: 0 ok, 1 unreadable or malformed input (a missing file, bytes
-that are not UTF-8, a truncated or corrupted .gz, or a bad line),
-2 relaxation arc budget exceeded, 3 invalid flags or parameters (among
-them a negative --lp-arc-budget, and a --merge-budget-ms that is NaN or
-negative; both are checked before the input is read), 4 internal error
-(a result failed one of its invariant checks; this is a bug, not a
-problem with the input).
+Exit codes: 0 ok, 1 unreadable input or an output that cannot be written
+(a missing file, bytes that are not UTF-8, a truncated or corrupted .gz, a
+bad line, or an --out or --stats path that cannot be opened), 2 relaxation
+arc budget exceeded, 3 invalid flags or parameters (among them a negative
+--lp-arc-budget, and a --merge-budget-ms that is NaN or negative; both are
+checked before the input is read), 4 internal error (a result failed one
+of its invariant checks; this is a bug, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -97,6 +97,15 @@ def _load_graph(path: str):
         return parse_edge_list(fh)
 
 
+def _write(path: str, text: str) -> int:
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        return _fail(str(exc), 1)
+    return 0
+
+
 def _fail(message: str, code: int) -> int:
     print(f"clusterdel: error: {message}", file=sys.stderr)
     return code
@@ -147,14 +156,12 @@ def _cmd_run(args) -> int:
         print(f"trials={summary['trials']} "
               f"mean_deletions={summary['mean_deletions']:.2f} "
               f"mean_ratio={mr}")
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(clustering_lines(result.clustering, g)))
-            fh.write("\n")
+    if args.out and _write(args.out, "\n".join(
+            clustering_lines(result.clustering, g)) + "\n"):
+        return 1
     if args.stats:
-        with open(args.stats, "w", encoding="utf-8") as fh:
-            json.dump(result.to_json_dict(), fh, indent=2)
-            fh.write("\n")
+        return _write(args.stats,
+                      json.dumps(result.to_json_dict(), indent=2) + "\n")
     return 0
 
 
@@ -181,7 +188,7 @@ def _cmd_lb(args) -> int:
 def _cmd_gen(args) -> int:
     if args.tight is not None:
         try:
-            g, _, _ = tight_instance(args.tight)
+            g = tight_instance(args.tight)
         except ValueError as exc:
             return _fail(str(exc), 3)
     else:
@@ -193,10 +200,8 @@ def _cmd_gen(args) -> int:
             return _fail(str(exc), 3)
     text = serialize_edge_list(g)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+        return _write(args.out, text)
+    sys.stdout.write(text)
     return 0
 
 

@@ -4,40 +4,25 @@ from __future__ import annotations
 
 import math
 import random
-from array import array
 
-import numpy as np
-
-from .graph import Graph, pack_edge
-from .wedges import WedgeSet
+from .graph import Graph
 
 
-def tight_instance(n: int) -> tuple[Graph, WedgeSet, int]:
+def tight_instance(n: int) -> Graph:
     """Clique-with-pendants family on which the matching bound is tight.
 
     For even n >= 8: a clique on q = n/2 nodes 0..q-1, plus a pendant node
-    q+i attached to each clique node i.  Returns (graph, canonical wedge
-    set, optimum deletion count).  The optimum deletes the q pendant edges;
-    the canonical wedge set pairs each clique-cycle edge (i, i+1 mod q)
-    with the pendant edge of i+1, so greedy rounding on it deletes
-    3n/2 - 4 edges no matter how pivots are chosen.
+    q+i attached to each clique node i.  The optimum deletes the q pendant
+    edges.  Pairing each clique-cycle edge (i, i+1 mod q) with the pendant
+    edge of i+1 gives q edge-disjoint open wedges, a maximal set on which
+    greedy rounding deletes 3n/2 - 4 edges no matter how pivots are chosen.
     """
     if n < 8 or n % 2:
         raise ValueError("n must be even and at least 8")
     q = n // 2
     edges = [(i, j) for i in range(q) for j in range(i + 1, q)]
     edges += [(i, q + i) for i in range(q)]
-    g = Graph.from_edges(n, edges)
-    records = array("q")
-    weak: set[int] = set()
-    for i in range(q):
-        j = (i + 1) % q
-        records.extend((min(i, q + j), max(i, q + j), j))
-        weak.add(pack_edge(i, j))
-        weak.add(pack_edge(j, q + j))
-    weak_mask = np.fromiter((key in weak for key in g._edge_keys), bool,
-                            g.m)
-    return g, WedgeSet(g, records, weak_mask), q
+    return Graph.from_edges(n, edges)
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:

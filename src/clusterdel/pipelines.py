@@ -28,7 +28,7 @@ from .graph import Graph, InvariantError
 from .pivoting import (Clustering, PivotAudit, PivotStrategy,
                        adjacency_lists, pivot_lists)
 from .stc import DEFAULT_ARC_BUDGET, solve_stc_lp
-from .wedges import WedgeSet, maximal_wedge_set_fast
+from .wedges import maximal_wedge_set_fast
 
 
 @dataclass
@@ -116,13 +116,11 @@ class _Preparation:
     ms: float
 
 
-def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET,
-             wedge_set: WedgeSet | None = None) -> _Preparation:
+def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET
+             ) -> _Preparation:
     t0 = perf_counter()
     if algorithm == "mfp":
-        if wedge_set is not None and wedge_set.graph is not g:
-            raise ValueError("wedge_set was not matched on g")
-        ws = maximal_wedge_set_fast(g) if wedge_set is None else wedge_set
+        ws = maximal_wedge_set_fast(g)
         wedges, lp_half, values = ws.wedge_count, None, None
         lower_bound, weak_mask = 2 * wedges, ws.weak_mask
     elif algorithm == "stclp":
@@ -194,11 +192,9 @@ def _finish(prep: _Preparation, strategy: PivotStrategy) -> CDResult:
                   False, runtime_ms)
 
 
-def match_flip_pivot(g: Graph, strategy: PivotStrategy,
-                     wedge_set: WedgeSet | None = None) -> CDResult:
-    """Match a maximal wedge set, strip its legs, pivot.  An explicit
-    wedge_set is used in place of a computed one (for tests)."""
-    return _finish(_prepare(g, "mfp", wedge_set=wedge_set), strategy)
+def match_flip_pivot(g: Graph, strategy: PivotStrategy) -> CDResult:
+    """Match a maximal wedge set, strip its legs, pivot."""
+    return _finish(_prepare(g, "mfp"), strategy)
 
 
 def stc_lp_round(g: Graph, strategy: PivotStrategy,

@@ -11,8 +11,9 @@ variables, it tests closure in the graph's key index directly, and it
 marks each leg by the edge id that the leg's CSR slot records.  It keeps
 the matched wedges as flat integer records, three per wedge in one
 ``array('q')``, and builds no object per wedge: the pipelines read only
-the count and the mask, and ``WedgeSet.wedges`` builds the ``OpenWedge``
-tuples on each read.
+the count and the mask, and ``WedgeSet.wedges`` builds plain ``(i, j, k)``
+tuples on each read.  The pipelines take W from this matcher alone, so
+the bound they certify always counts a maximal set of their own graph.
 """
 
 from __future__ import annotations
@@ -20,19 +21,11 @@ from __future__ import annotations
 from array import array
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from .graph import Graph
-
-
-class OpenWedge(NamedTuple):
-    """Open wedge (i, j, k): edges (i,k), (j,k) present, (i,j) absent, i < j."""
-
-    i: int
-    j: int
-    k: int
 
 
 @dataclass
@@ -40,17 +33,18 @@ class WedgeSet:
     """Edge-disjoint open wedges of graph plus their weak edges E_W."""
 
     graph: Graph
-    # records[3t:3t + 3]: the t-th wedge's (i, j, k)
+    # records[3t:3t + 3]: the t-th wedge's (i, j, k), an open wedge with
+    # edges (i, k) and (j, k) present, (i, j) absent, and i < j
     records: Sequence[int]
     # weak_mask[e]: edge e of graph is a leg of a wedge
     weak_mask: np.ndarray
     inspections: int = 0
 
     @property
-    def wedges(self) -> list[OpenWedge]:
-        """W in matching order, in a new list on each read."""
+    def wedges(self) -> list[tuple[int, int, int]]:
+        """W in matching order as (i, j, k) tuples, new on each read."""
         r = self.records
-        return list(map(OpenWedge, r[0::3], r[1::3], r[2::3]))
+        return list(zip(r[0::3], r[1::3], r[2::3]))
 
     @property
     def wedge_count(self) -> int:

@@ -333,7 +333,7 @@ def iter_weak_pairs(ws: WedgeSet) -> Iterator[tuple[int, int]]:
 
 def wedge_set_lines(ws: WedgeSet) -> list[str]:
     """Debug dump, one 'i j k' line per wedge."""
-    return [f"{w.i} {w.j} {w.k}" for w in ws.wedges]
+    return [f"{i} {j} {k}" for i, j, k in ws.wedges]
 
 
 class FastMatchCursor:

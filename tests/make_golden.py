@@ -51,7 +51,7 @@ def hub_graph() -> Graph:
 
 def input_files() -> dict[str, bytes]:
     """File name -> bytes of every input."""
-    files = {f"tight{n}.txt": serialize_edge_list(tight_instance(n)[0])
+    files = {f"tight{n}.txt": serialize_edge_list(tight_instance(n))
              for n in (8, 12, 40)}
     files["er200.txt"] = serialize_edge_list(er_graph(200, 0.08, seed=1))
     files["planted_a.txt"] = serialize_edge_list(

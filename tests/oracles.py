@@ -1,19 +1,23 @@
 """Reference code that only the tests use, kept out of the package.
 
 Exact solvers for small inputs (exponential time, guarded by size), the
-open-wedge enumerator, the greedy wedge matcher over its output, and the
-verifiers of a wedge set and of relaxation values.  Each is written
-against the problem definition directly and independently of the
-approximation pipeline, so agreement between the two is meaningful
-evidence.
+open-wedge enumerator, the greedy wedge matcher over its output, the
+canonical wedge set of the tight family, and the verifiers of a wedge set
+and of relaxation values.  Each is written against the problem definition
+directly and independently of the approximation pipeline, so agreement
+between the two is meaningful evidence.  The one exception,
+``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
+strip, pivot and scoring, once ``verify_wedge_set`` has accepted it.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from clusterdel import Graph, WedgeSet, pack_edge
+from clusterdel import CDResult, Graph, PivotStrategy, WedgeSet, pack_edge
+from clusterdel import pipelines
 from clusterdel.graph import _SHIFT
+from clusterdel.pivoting import adjacency_lists
 from helpers import edge_ids, edge_mask, unpack_edge
 
 
@@ -72,6 +76,41 @@ def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
     return WedgeSet(g, records, edge_mask(g, weak), inspections)
 
 
+def tight_wedge_set(g: Graph) -> WedgeSet:
+    """The canonical wedge set of ``tight_instance(n)``: with q = n/2, each
+    clique-cycle edge (i, j), j = i+1 mod q, paired with j's pendant edge
+    (j, q+j).  The q wedges are edge-disjoint and maximal, so q is the
+    optimum, and greedy rounding on them deletes 3n/2 - 4 edges under any
+    pivot order."""
+    q = g.n // 2
+    records: list[int] = []
+    weak: set[int] = set()
+    for i in range(q):
+        j = (i + 1) % q
+        records.extend((min(i, q + j), max(i, q + j), j))
+        weak.add(pack_edge(i, j))
+        weak.add(pack_edge(j, q + j))
+    return WedgeSet(g, records, edge_mask(g, weak))
+
+
+def mfp_with_wedge_set(g: Graph, strategy: PivotStrategy, ws: WedgeSet
+                       ) -> CDResult:
+    """match_flip_pivot with ws in place of the matcher's wedge set.
+
+    ws must pass ``verify_wedge_set`` on g.  The preparation is the one
+    ``pipelines._prepare`` builds from the matcher: the certificate of
+    |W| wedges with ws's weak mask, and the adjacency lists of g stripped
+    of that mask.  Its lower_bound time reads 0.
+    """
+    verify_wedge_set(g, ws)
+    count = ws.wedge_count
+    cert = pipelines.Certificate("mfp", g, count, None, 2 * count,
+                                 ws.weak_mask, None)
+    prep = pipelines._Preparation(cert, adjacency_lists(g, ~ws.weak_mask),
+                                  0.0)
+    return pipelines._finish(prep, strategy)
+
+
 def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
     """Raise ValueError unless ws is a valid maximal edge-disjoint wedge set."""
     used: set[int] = set()
@@ -89,6 +128,9 @@ def verify_wedge_set(g: Graph, ws: WedgeSet) -> None:
             used.add(key)
     if used != ws.weak_edges:
         raise ValueError("weak_edges does not match the union of wedge legs")
+    if ws.weak_mask.tolist() != edge_mask(g, used).tolist():
+        raise ValueError("weak_mask does not mark the wedge legs by g's "
+                         "edge ids")
     violations: list[tuple[int, int, int]] = []
 
     def sink(i: int, j: int, k: int) -> None:

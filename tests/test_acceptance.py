@@ -35,7 +35,9 @@ from oracles import (
     exact_stc_lp,
     gallai_graph,
     maximal_wedge_set_simple,
+    mfp_with_wedge_set,
     min_vertex_cover,
+    tight_wedge_set,
     verify_wedge_set,
 )
 
@@ -89,9 +91,10 @@ def test_criterion_01_tight_instances_hit_three_halves_bound():
         strategies = list(deterministic_strategies())
         strategies += [PivotStrategy.random(s) for s in range(3)]
         for n in TIGHT_SIZES:
-            g, ws, q = tight_instance(n)
+            g = tight_instance(n)
+            ws, q = tight_wedge_set(g), n // 2
             for strategy in strategies:
-                res = match_flip_pivot(g, strategy, wedge_set=ws)
+                res = mfp_with_wedge_set(g, strategy, ws)
                 assert res.deletions == 3 * n // 2 - 4, (n, strategy)
             if n <= 14:
                 opt, _ = exact_cluster_deletion(g)
@@ -257,7 +260,7 @@ def test_criterion_08_matchers_are_valid_everywhere():
             verify_wedge_set(g, maximal_wedge_set_simple(g))
             checked += 1
         for n in TIGHT_SIZES:
-            g, _, _ = tight_instance(n)
+            g = tight_instance(n)
             verify_wedge_set(g, maximal_wedge_set_fast(g))
             verify_wedge_set(g, maximal_wedge_set_simple(g))
         for k in (1, 2, 4, 9):
@@ -351,7 +354,7 @@ def test_criterion_11_scaling_budgets():
         # a materialized wedge list would need several GiB here
         assert grown < 2 * 1024 ** 3
         match_m = g.m
-        wedge_count = len(ws.wedges)
+        wedge_count = ws.wedge_count
         del ws, g
         gc.collect()
         g = er_graph(260_000, 1.5 / 260_000, seed=11)

@@ -33,7 +33,7 @@ def run_cli(argv):
 
 @pytest.fixture
 def tight_file(tmp_path):
-    g, _, _ = tight_instance(12)
+    g = tight_instance(12)
     path = tmp_path / "tight12.txt"
     path.write_text(serialize_edge_list(g))
     return str(path)
@@ -212,6 +212,31 @@ def test_unreadable_input_exits_1(command, kind, tight_file, tmp_path):
     assert out == ""
     assert err.startswith("clusterdel: error: ")
     assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "--in", "TIGHT", "--out", "MISSING/clusters.txt"],
+    ["run", "--in", "TIGHT", "--stats", "MISSING/stats.json"],
+    ["gen", "--tight", "8", "--out", "MISSING/tight8.txt"],
+])
+def test_unwritable_output_exits_1(argv, tight_file, tmp_path):
+    # in a child process, so that an uncaught error would show as the
+    # interpreter's traceback on stderr
+    missing = str(tmp_path / "absent")
+    argv = [tight_file if a == "TIGHT" else a.replace("MISSING", missing)
+            for a in argv]
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-m", "clusterdel.cli", *argv],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert len(proc.stderr.splitlines()) == 1
+    assert proc.stderr.startswith("clusterdel: error: ")
+    assert missing in proc.stderr
 
 
 def test_lb_reports_all_bounds(tight_file):

@@ -18,7 +18,10 @@ Each must give exactly what its reference gives:
   a mask in key order, and copying the graph without them; and an mfp
   result's wedge count and weak mask, those of the matcher;
 - best-of-T: every trial, though all of them pivot one prepared set of
-  adjacency lists, equals an independent pipeline call with its seed.
+  adjacency lists, equals an independent pipeline call with its seed;
+- ``oracles.mfp_with_wedge_set``, which builds its own preparation from a
+  fixed wedge set: fed the matcher's wedge set, the clusters and every
+  stats field apart from runtime_ms of the mfp pipeline.
 """
 from __future__ import annotations
 
@@ -39,6 +42,7 @@ from helpers import (edge_mask, maximal_wedge_set_by_cursor,
                      planted_clusters, ratio_pivot_by_full_scan,
                      score_by_edge_loop, split_by_sorted_search,
                      weak_keys_by_edge_loop)
+from oracles import mfp_with_wedge_set
 from test_acceptance import corpus
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
@@ -180,6 +184,20 @@ def test_acceptance_corpus():
     assert len(graphs) == 504
     for g in graphs:
         assert_same_as_references(g)
+
+
+def test_fixed_wedge_set_helper_is_the_pipeline():
+    # the helper keeps tests that feed a chosen W in step with _prepare
+    for g in corpus():
+        ws = maximal_wedge_set_fast(g)
+        for strategy in (PivotStrategy.degree(), PivotStrategy.ratio(),
+                         PivotStrategy.random(g.n)):
+            fixed = mfp_with_wedge_set(g, strategy, ws)
+            res = match_flip_pivot(g, strategy)
+            assert fixed.clustering.clusters == res.clustering.clusters
+            got, want = fixed.to_json_dict(), res.to_json_dict()
+            del got["runtime_ms"], want["runtime_ms"]
+            assert got == want
 
 
 @pytest.mark.parametrize("seed", range(8))

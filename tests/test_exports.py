@@ -17,7 +17,7 @@ ROOT = Path(__file__).resolve().parent.parent
 EXPORTS = [
     "ArcBudgetError", "CDResult", "Clustering", "DEFAULT_ARC_BUDGET",
     "EdgeListParseError", "Graph", "HalfIntegralSolution", "InvariantError",
-    "OpenWedge", "PivotAudit", "PivotStrategy", "WedgeSet", "apply_merge",
+    "PivotAudit", "PivotStrategy", "WedgeSet", "apply_merge",
     "best_of_random", "clustering_lines", "er_graph", "labeling_from_lp",
     "match_flip_pivot", "maximal_wedge_set_fast", "merge_clusters",
     "pack_edge", "parse_edge_list", "pivot", "serialize_edge_list",

@@ -6,14 +6,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from clusterdel import er_graph, tight_instance
-from oracles import verify_wedge_set
+from clusterdel import Graph, er_graph, tight_instance
+from oracles import tight_wedge_set, verify_wedge_set
 
 
 @pytest.mark.parametrize("n", [8, 12, 20, 40])
 def test_tight_instance_shape(n):
-    g, ws, q = tight_instance(n)
-    assert q == n // 2
+    g = tight_instance(n)
+    ws, q = tight_wedge_set(g), n // 2
+    assert isinstance(g, Graph)
     assert g.n == n
     assert g.m == q * (q - 1) // 2 + q
     # clique core plus one pendant per core node
@@ -28,11 +29,11 @@ def test_tight_instance_shape(n):
 
 
 def test_tight_instance_wedges_are_canonical():
-    g, ws, q = tight_instance(8)
-    for w in ws.wedges:
-        assert w.i < w.j
-        assert g.has_edge(w.i, w.k) and g.has_edge(w.j, w.k)
-        assert not g.has_edge(w.i, w.j)
+    g = tight_instance(8)
+    for i, j, k in tight_wedge_set(g).wedges:
+        assert i < j
+        assert g.has_edge(i, k) and g.has_edge(j, k)
+        assert not g.has_edge(i, j)
 
 
 @pytest.mark.parametrize("n", [7, 9, 6, 0, -2])

@@ -23,9 +23,10 @@ from clusterdel import (
     stc_lp_round,
     tight_instance,
 )
-from clusterdel import pipelines, wedges
+from clusterdel import WedgeSet, pipelines
 from helpers import clusters_are_cliques, cut_deletions
-from oracles import maximal_wedge_set_simple
+from oracles import (maximal_wedge_set_simple, mfp_with_wedge_set,
+                     tight_wedge_set)
 
 JSON_KEYS = ["algorithm", "strategy", "seed", "n", "m", "wedges",
              "weak_edges", "lp_value_half_units", "deletions",
@@ -47,8 +48,9 @@ def test_mfp_on_path():
 
 
 def test_mfp_on_tight_instance_with_injected_wedges():
-    g, ws, q = tight_instance(12)
-    res = match_flip_pivot(g, PivotStrategy.degree(), wedge_set=ws)
+    g = tight_instance(12)
+    ws, q = tight_wedge_set(g), 12 // 2
+    res = mfp_with_wedge_set(g, PivotStrategy.degree(), ws)
     assert res.deletions == 3 * 12 // 2 - 4
     assert res.weak_edges == 2 * q
     assert res.lower_bound_half_units == 2 * q
@@ -56,16 +58,16 @@ def test_mfp_on_tight_instance_with_injected_wedges():
 
 
 def test_mfp_matcher_selection():
-    g, _, _ = tight_instance(8)
+    g = tight_instance(8)
     fast = match_flip_pivot(g, PivotStrategy.degree())
-    simple = match_flip_pivot(g, PivotStrategy.degree(),
-                              wedge_set=maximal_wedge_set_simple(g))
+    simple = mfp_with_wedge_set(g, PivotStrategy.degree(),
+                                maximal_wedge_set_simple(g))
     for res in (fast, simple):
         assert clusters_are_cliques(g, res.clustering.clusters)
 
 
 def test_stclp_on_tight_instance():
-    g, _, q = tight_instance(12)
+    g = tight_instance(12)
     res = stc_lp_round(g, PivotStrategy.degree())
     assert res.algorithm == "stclp"
     assert res.lp_value_half_units == 12
@@ -83,7 +85,7 @@ def test_stclp_respects_arc_budget():
 
 
 def test_stclp_rejects_a_negative_arc_budget():
-    g = tight_instance(12)[0]
+    g = tight_instance(12)
     with pytest.raises(ValueError, match="negative"):
         solve_stc_lp(g, -3)
     with pytest.raises(ValueError, match="negative"):
@@ -177,7 +179,7 @@ def test_merge_with_zero_budget_is_identity():
 
 
 def test_apply_merge_with_zero_budget_keeps_deletions():
-    g, _, _ = tight_instance(12)
+    g = tight_instance(12)
     res = match_flip_pivot(g, PivotStrategy.degree())
     assert apply_merge(g, res).deletions < res.deletions
     out = apply_merge(g, res, budget_ms=0)
@@ -188,7 +190,7 @@ def test_apply_merge_with_zero_budget_keeps_deletions():
 
 @pytest.mark.parametrize("budget", [float("nan"), -5.0, -1e-9])
 def test_merge_rejects_nan_or_negative_budget(budget):
-    g, _, _ = tight_instance(12)
+    g = tight_instance(12)
     res = match_flip_pivot(g, PivotStrategy.degree())
     with pytest.raises(ValueError, match="non-negative"):
         merge_clusters(g, res.clustering, budget_ms=budget)
@@ -197,7 +199,7 @@ def test_merge_rejects_nan_or_negative_budget(budget):
 
 
 def test_merge_with_infinite_budget_is_unbudgeted():
-    g, _, _ = tight_instance(12)
+    g = tight_instance(12)
     res = match_flip_pivot(g, PivotStrategy.degree())
     unbudgeted = merge_clusters(g, res.clustering)
     assert unbudgeted.clusters != res.clustering.clusters
@@ -206,7 +208,7 @@ def test_merge_with_infinite_budget_is_unbudgeted():
 
 
 def test_apply_merge_rescoring():
-    g, _, _ = tight_instance(8)
+    g = tight_instance(8)
     res = match_flip_pivot(g, PivotStrategy.degree())
     out = apply_merge(g, res)
     assert out.merged is True
@@ -241,7 +243,7 @@ def test_best_of_random_reproducible():
 
 
 def test_best_of_random_tie_prefers_earliest_seed():
-    g, _, _ = tight_instance(8)
+    g = tight_instance(8)
     best, _ = best_of_random(g, trials=4, base_seed=5)
     assert best.strategy == "random"
     singles = [match_flip_pivot(g, PivotStrategy.random(5 + i)).deletions
@@ -259,8 +261,9 @@ def test_best_of_random_validates_arguments():
 
 
 def test_wedge_injection_overrides_matcher():
-    g, ws, q = tight_instance(8)
-    res = match_flip_pivot(g, PivotStrategy.ratio(), wedge_set=ws)
+    g = tight_instance(8)
+    ws, q = tight_wedge_set(g), 8 // 2
+    res = mfp_with_wedge_set(g, PivotStrategy.ratio(), ws)
     assert res.wedges == q
     assert res.weak_edges == ws.weak_count
     assert res.weak_set == ws.weak_edges
@@ -271,10 +274,10 @@ def test_pipelines_build_no_wedge_tuples(monkeypatch):
     want = [match_flip_pivot(g, PivotStrategy.degree()),
             best_of_random(g, 3)[0]]
 
-    def no_tuples(*args):
-        raise AssertionError("built an OpenWedge")
+    def no_tuples(ws):
+        raise AssertionError("read WedgeSet.wedges")
 
-    monkeypatch.setattr(wedges, "OpenWedge", no_tuples)
+    monkeypatch.setattr(WedgeSet, "wedges", property(no_tuples))
     got = [match_flip_pivot(g, PivotStrategy.degree()),
            best_of_random(g, 3)[0]]
     assert got[0].wedges > 0
@@ -282,12 +285,19 @@ def test_pipelines_build_no_wedge_tuples(monkeypatch):
         a, b = a.to_json_dict(), b.to_json_dict()
         del a["runtime_ms"], b["runtime_ms"]
         assert a == b
-    with pytest.raises(AssertionError, match="OpenWedge"):
+    with pytest.raises(AssertionError, match="WedgeSet.wedges"):
         maximal_wedge_set_fast(g).wedges
 
 
+def test_mfp_takes_no_wedge_set():
+    # the certified bound comes from the pipeline's own matcher only
+    ws = tight_wedge_set(tight_instance(8))
+    with pytest.raises(TypeError):
+        match_flip_pivot(ws.graph, PivotStrategy.degree(), wedge_set=ws)
+
+
 def test_stclp_weak_set_is_the_lp_labeling():
-    for g in (tight_instance(8)[0], er_graph(30, 0.2, seed=3)):
+    for g in (tight_instance(8), er_graph(30, 0.2, seed=3)):
         res = stc_lp_round(g, PivotStrategy.ratio())
         assert res.weak_set == labeling_from_lp(solve_stc_lp(g))
         assert res.weak_edges == len(res.weak_set)
@@ -330,24 +340,6 @@ def test_apply_merge_rejects_a_graph_of_the_same_size():
     assert other.m == g.m and other.packed_edges() != g.packed_edges()
     with pytest.raises(ValueError, match="graph the result"):
         apply_merge(other, res)
-
-
-def test_mfp_rejects_a_wedge_set_of_another_size():
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    ws = maximal_wedge_set_fast(P3)
-    with pytest.raises(ValueError, match="matched on g"):
-        match_flip_pivot(g, PivotStrategy.degree(), wedge_set=ws)
-
-
-def test_mfp_rejects_a_wedge_set_of_the_same_size():
-    # a triangle plus an isolated node needs no deletion; the 4-node
-    # path's wedges, read against its edge ids, would certify one
-    g = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])
-    path = Graph.from_edges(4, [(0, 1), (1, 2), (2, 3)])
-    ws = maximal_wedge_set_fast(path)
-    assert path.m == g.m and ws.wedges
-    with pytest.raises(ValueError, match="matched on g"):
-        match_flip_pivot(g, PivotStrategy.degree(), wedge_set=ws)
 
 
 def _patch_pivot(monkeypatch, tamper):

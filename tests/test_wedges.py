@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from clusterdel import (
     Graph,
-    OpenWedge,
     WedgeSet,
     er_graph,
     maximal_wedge_set_fast,
@@ -71,7 +70,7 @@ MATCHERS = [maximal_wedge_set_fast, maximal_wedge_set_simple]
 def test_path_three_nodes(matcher):
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     ws = matcher(g)
-    assert ws.wedges == [OpenWedge(0, 2, 1)]
+    assert ws.wedges == [(0, 2, 1)]
     assert ws.weak_edges == {pack_edge(0, 1), pack_edge(1, 2)}
     assert ws.weak_count == 2
     verify_wedge_set(g, ws)
@@ -81,7 +80,7 @@ def test_path_three_nodes(matcher):
 def test_star_leaves_uncoverable_wedges(matcher):
     g = Graph.from_edges(4, [(0, 1), (0, 2), (0, 3)])
     ws = matcher(g)
-    assert ws.wedges == [OpenWedge(1, 2, 0)]
+    assert ws.wedges == [(1, 2, 0)]
     assert ws.weak_edges == {pack_edge(0, 1), pack_edge(0, 2)}
     verify_wedge_set(g, ws)
 
@@ -179,8 +178,7 @@ def test_wedges_are_built_anew_on_each_read():
     wedges = ws.wedges
     assert ws.wedge_count == len(wedges) == 3
     wedges.clear()
-    assert ws.wedges == [OpenWedge(0, 2, 1), OpenWedge(3, 5, 4),
-                         OpenWedge(6, 8, 7)]
+    assert ws.wedges == [(0, 2, 1), (3, 5, 4), (6, 8, 7)]
     assert ws.wedges is not ws.wedges
 
 
