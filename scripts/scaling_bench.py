@@ -3,7 +3,13 @@
 pivot strategies, cluster merging and the whole mfp pipeline.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
-and the change in current resident memory in MiB.  The problem size is
+and the change in current resident memory in MiB.  Every row times its
+call with ``timed``: the seconds are the median of 5 calls, each after a
+garbage collection.  The memory change spans the first call, from just
+before it to just after it, except on the matcher and lp rows: their
+window opens before ``er_graph`` builds the graph, so it counts the graph
+(and, on lp rows, the open-wedge count) too.  On the million-edge matcher
+row the graph is nearly all of it.  The problem size is
 the matched wedge count for the matcher and for mfp, edges plus open
 wedges for the LP, the number of edges kept after the strip for the
 adjacency and pivot rows, and the number of clusters fed to the merge.
@@ -40,6 +46,7 @@ import gc
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -69,6 +76,8 @@ LP_SWEEP = [(30_000, 1.5 / 30_000), (100_000, 1.5 / 100_000)]
 LP_BIG = [(260_000, 1.5 / 260_000)]
 PIVOT_MERGE = [(2_000, 0.01), (5_000, 0.004)]
 BENCH_SEEDS = range(11, 16)
+# calls per timed row; a row's seconds are their median
+RUNS = 5
 CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "rss_delta_mib")
 
 
@@ -95,15 +104,39 @@ def csv_line(r: dict) -> str:
             f"{r['rss_delta_mib']}")
 
 
+def timed(fn, *args, before: int | None = None):
+    """(result of the last call, median wall seconds of RUNS calls, and
+    the resident-memory change in MiB over the first call).  The memory
+    window closes after the first call; it opens just before it, or at
+    ``before``, an earlier ``rss_bytes()`` reading, if one is given."""
+    gc.collect()
+    if before is None:
+        before = rss_bytes()
+    t0 = perf_counter()
+    out = fn(*args)
+    seconds = [perf_counter() - t0]
+    delta = (rss_bytes() - before) / 2**20
+    for _ in range(RUNS - 1):
+        out = None  # free the last result before the next call
+        gc.collect()
+        t0 = perf_counter()
+        out = fn(*args)
+        seconds.append(perf_counter() - t0)
+    return out, statistics.median(seconds), delta
+
+
 def bench_matcher(n: int, p: float, seed: int) -> list[dict]:
     gc.collect()
     before = rss_bytes()
     g = er_graph(n, p, seed=seed)
-    t0 = perf_counter()
-    ws = maximal_wedge_set_fast(g)
-    elapsed = perf_counter() - t0
-    delta = (rss_bytes() - before) / 2**20
+    ws, elapsed, delta = timed(maximal_wedge_set_fast, g, before=before)
     return [row("matcher", g.n, g.m, ws.wedge_count, elapsed, delta)]
+
+
+def parse_file(path: Path):
+    """Parse an edge-list file from an open file, as the CLI reads it."""
+    with open(path, encoding="utf-8") as fh:
+        return parse_edge_list(fh)
 
 
 def bench_parse(n: int, p: float, seed: int) -> list[dict]:
@@ -121,8 +154,7 @@ def bench_parse(n: int, p: float, seed: int) -> list[dict]:
         del text
         for stage, path, size in (("parse", plain, lines),
                                   ("parse-nonplain", nonplain, lines + 1)):
-            with open(path, encoding="utf-8") as fh:
-                parsed, elapsed, delta = timed(parse_edge_list, fh)
+            parsed, elapsed, delta = timed(parse_file, path)
             rows.append(row(stage, parsed.n, parsed.m, size, elapsed, delta))
             del parsed
     return rows
@@ -144,22 +176,8 @@ def bench_lp(n: int, p: float, seed: int) -> list[dict]:
     before = rss_bytes()
     g = er_graph(n, p, seed=seed)
     size = g.m + open_wedges(g)
-    t0 = perf_counter()
-    sol = solve_stc_lp(g)
-    elapsed = perf_counter() - t0
-    delta = (rss_bytes() - before) / 2**20
-    assert sol.objective_half_units >= 0
+    _, elapsed, delta = timed(solve_stc_lp, g, before=before)
     return [row("lp", g.n, g.m, size, elapsed, delta)]
-
-
-def timed(fn, *args):
-    """(result, wall seconds, resident-memory delta in MiB) of one call."""
-    gc.collect()
-    before = rss_bytes()
-    t0 = perf_counter()
-    out = fn(*args)
-    elapsed = perf_counter() - t0
-    return out, elapsed, (rss_bytes() - before) / 2**20
 
 
 def bench_pivot_and_merge(n: int, p: float, seed: int) -> list[dict]:

@@ -89,8 +89,7 @@ class Graph:
             arr.flags.writeable = False
 
     @classmethod
-    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]],
-                   labels: list[int] | None = None) -> "Graph":
+    def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on nodes 0..n-1; drops self-loops and duplicates."""
         seen: dict[int, None] = {}
         for u, v in edges:
@@ -99,7 +98,7 @@ class Graph:
             if u == v:
                 continue
             seen[pack_edge(u, v)] = None
-        return cls(n, seen, labels)
+        return cls(n, seen)
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a read-only view)."""

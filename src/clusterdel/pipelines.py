@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import chain
 from time import perf_counter
 
 import numpy as np
@@ -251,29 +250,30 @@ def merge_clusters(g: Graph, clustering: Clustering,
     two sizes, and only the complete pairs reach Python.  A pass costs
     that count (a sort of the cut edges) plus, per complete pair, one set
     lookup for each cluster absorbed earlier in the turn; the pass that
-    finds nothing to merge is the count alone.  An empty cluster is
-    complete with any cluster and sorts after every non-empty one, so the
-    first cluster of the first pass absorbs them all.  A node in no
-    cluster stays in none (assignment -1).
+    finds nothing to merge is the count alone.
+
+    clustering must partition g's nodes into non-empty clusters, as
+    pivoting and merging do (ValueError otherwise); only its assignment
+    and its number of clusters are read.
     """
     if budget_ms is not None and not budget_ms >= 0:
         raise ValueError("merge budget must be a non-negative number of "
                          f"milliseconds, not {budget_ms!r}")
-    clusters = clustering.clusters
-    k0 = len(clusters)
-    sizes = list(map(len, clusters))
-    # owner[v]: the id of the cluster holding node v, or -1
-    owner = np.full(g.n, -1, dtype=np.int64)
-    owner[np.fromiter(chain.from_iterable(clusters), dtype=np.int64,
-                      count=sum(sizes))] = np.repeat(
-        np.arange(k0, dtype=np.int64), sizes)
-    # the clusters at the two ends of each cut edge between owned nodes
+    k0 = clustering.num_clusters
+    # owner[v]: the id of the cluster holding node v
+    owner = np.array(clustering.assignment, dtype=np.int64)
+    if len(owner) != g.n or np.any((owner < 0) | (owner >= k0)):
+        raise ValueError(f"assignment must give each of the {g.n} nodes a "
+                         f"cluster id in [0, {k0})")
+    sizes = np.bincount(owner, minlength=k0).tolist()
+    if 0 in sizes:
+        raise ValueError(f"cluster {sizes.index(0)} is empty")
+    # the clusters at the two ends of each cut edge
     ou, ov = owner[g._edge_u], owner[g._edge_v]
-    cut = (ou != ov) & (ou >= 0) & (ov >= 0)
+    cut = ou != ov
     ou, ov = ou[cut], ov[cut]
     alive = [True] * k0
     root = list(range(k0))
-    empties = 0 in sizes
     deadline = (perf_counter() + budget_ms / 1000.0
                 if budget_ms is not None else None)
     passes = 0
@@ -292,12 +292,6 @@ def merge_clusters(g: Graph, clustering: Clustering,
                                  return_counts=True)
         # complete pairs as keys p * k + q (p < q), by p then q
         keys = keys[counts == size_at[keys // k] * size_at[keys % k]]
-        if empties:
-            # position 0 takes the empty positions after its own partners
-            empties = False
-            first = max(int(np.count_nonzero(size_at)), 1)
-            keys = np.insert(keys, np.searchsorted(keys, k),
-                             np.arange(first, k))
         complete = set(keys.tolist())
         ps, qs = np.divmod(keys, k)
         merged_any = False
@@ -311,9 +305,7 @@ def merge_clusters(g: Graph, clustering: Clustering,
             if deadline is not None and perf_counter() > deadline:
                 out_of_time = True
                 break
-            # an empty b is complete with every cluster
-            if absorbed and sizes[b] and any(r * k + q not in complete
-                                             for r in absorbed):
+            if absorbed and any(r * k + q not in complete for r in absorbed):
                 continue
             absorbed.append(q)
             root[b] = a
@@ -322,20 +314,18 @@ def merge_clusters(g: Graph, clustering: Clustering,
             merged_any = True
         if not merged_any:
             break
-        # an unowned node's -1 picks the appended -1
-        root_of = np.array(root + [-1], dtype=np.int64)
+        root_of = np.array(root, dtype=np.int64)
         owner = root_of[owner]
         ou, ov = root_of[ou], root_of[ov]
         cut = ou != ov
         ou, ov = ou[cut], ov[cut]
-    survivors = [c for c in range(k0) if alive[c]]
-    new_id = np.full(k0 + 1, -1, dtype=np.int64)
-    new_id[survivors] = np.arange(len(survivors))
-    # members in cluster-id order, each cluster's sorted, unowned first
+    # survivors renumbered 0, 1, ... in id order; members in that order,
+    # each cluster's sorted
+    owner = (np.cumsum(alive, dtype=np.int64) - 1)[owner]
     members = np.argsort(owner, kind="stable").tolist()
-    bounds = np.cumsum(np.bincount(owner + 1, minlength=k0 + 1)).tolist()
-    return Clustering(new_id[owner].tolist(),
-                      [members[bounds[c]:bounds[c + 1]] for c in survivors])
+    bounds = [0] + np.cumsum(np.bincount(owner)).tolist()
+    return Clustering(owner.tolist(),
+                      [members[i:j] for i, j in zip(bounds, bounds[1:])])
 
 
 def apply_merge(g: Graph, result: CDResult,

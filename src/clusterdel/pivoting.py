@@ -87,7 +87,8 @@ class PivotStrategy:
 
 @dataclass
 class Clustering:
-    """assignment[v] = cluster id in creation order; clusters[c] sorted."""
+    """A partition of the graph's nodes into non-empty clusters:
+    assignment[v] = cluster id in creation order; clusters[c] sorted."""
 
     assignment: list[int]
     clusters: list[list[int]]

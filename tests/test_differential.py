@@ -8,8 +8,8 @@ Each must give exactly what its reference gives:
   full scan per round;
 - the merge driven by cross-edge counts: the merged clusters and
   assignment of the pairwise scan, for none, one, two or unlimited
-  passes, on pivot outputs and on arbitrary clique partitions (empty
-  clusters, singletons and nodes in no cluster among them);
+  passes, on pivot outputs and on arbitrary partitions into cliques
+  (singletons among them);
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
 - the preparation: the weak set, weak mask and stripped graph's
@@ -243,30 +243,18 @@ def test_star():
     assert_same_as_references(g)
 
 
-@pytest.mark.parametrize("clusters", [
-    [[0, 1], [], [2, 3]],
-    [[], [0, 1], [], [2, 3], []],
-    [[0], [1], [], [2], [3]],
-    [[], []],
-])
-def test_merge_with_empty_clusters(clusters):
-    # every empty cluster merges into the first cluster of the first pass
+@pytest.mark.parametrize("assignment, clusters", [
+    ([0, 0, 2, 2], [[0, 1], [], [2, 3]]),
+    ([0, 0, -1, 1], [[0, 1], [3]]),
+    ([0, 0, 1], [[0, 1], [2]]),
+    ([0, 0, 1, 2], [[0, 1], [2]]),
+], ids=["empty-cluster", "node-in-no-cluster", "short-assignment",
+        "id-past-last-cluster"])
+def test_merge_rejects_what_is_not_a_partition(assignment, clusters):
     g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
-    assignment = [-1] * 4
-    for cid, members in enumerate(clusters):
-        for v in members:
-            assignment[v] = cid
-    if not any(clusters):
-        g = Graph.from_edges(0, [])
-        assignment = []
-    for passes in (None, 0, 1, 2):
-        merged = merge_clusters(g, Clustering(assignment, clusters), passes)
-        want_assignment, want_clusters = merge_clusters_pairwise(
-            g, clusters, passes)
-        assert merged.clusters == want_clusters
-        assert merged.assignment == want_assignment
-        if passes != 0:
-            assert [] not in merged.clusters or merged.clusters == [[]]
+    for passes in (None, 0):
+        with pytest.raises(ValueError):
+            merge_clusters(g, Clustering(assignment, clusters), passes)
 
 
 def clustering_of(n: int, clusters: list[list[int]]) -> Clustering:
@@ -293,8 +281,7 @@ def assert_same_merge_of(g: Graph, clusters: list[list[int]]) -> None:
 @st.composite
 def clique_partitions(draw) -> tuple[Graph, list[list[int]]]:
     """A random graph and a partition of its nodes into cliques, in a
-    random cluster order, with up to three empty clusters anywhere; in
-    some, a few nodes are left out of every cluster."""
+    random cluster order."""
     n = draw(st.integers(0, 12))
     density = draw(st.sampled_from([0.2, 0.6, 0.9, 1.0]))
     rng = draw(st.randoms(use_true_random=False))
@@ -306,19 +293,13 @@ def clique_partitions(draw) -> tuple[Graph, list[list[int]]]:
     labels = draw(st.lists(st.integers(0, max(n - 1, 0)), min_size=n,
                            max_size=n))
     groups: dict[object, list[int]] = {}
-    left_out = draw(st.sets(st.integers(0, max(n - 1, 0)), max_size=3)
-                    if draw(st.booleans()) else st.just(set()))
     for v in draw(st.permutations(range(n))):
-        if v in left_out:
-            continue
         group = groups.setdefault(labels[v], [])
         if all(g.has_edge(u, v) for u in group):
             group.append(v)
         else:
             groups[("own", v)] = [v]
     clusters = [sorted(c) for c in groups.values() if c]
-    for _ in range(draw(st.integers(0, 3))):
-        clusters.insert(draw(st.integers(0, len(clusters))), [])
     return g, draw(st.permutations(clusters))
 
 

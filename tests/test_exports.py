@@ -1,6 +1,8 @@
 """The package exports what the CLI, the benchmark and the README use, and
 nothing that only the tests need (that lives in tests/); the benchmark's
-own self-test passes against the package."""
+own self-test passes against the package, the README's library example
+runs, and the package holds no assert statement (python -O strips them,
+and its invariant checks must still run there)."""
 from __future__ import annotations
 
 import ast
@@ -52,3 +54,23 @@ def test_benchmark_selftest_passes():
                           cwd=ROOT, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_readme_library_example_runs(capsys):
+    # the first python block under "## Library"
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Library\n", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace: dict = {}
+    exec(compile(code, "README.md", "exec"), namespace)
+    assert capsys.readouterr().out == "1556 1556 2.0\n"
+    merged, res = namespace["merged"], namespace["res"]
+    assert merged.num_clusters <= res.clustering.num_clusters
+
+
+def test_package_holds_no_assert():
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "clusterdel").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
