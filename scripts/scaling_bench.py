@@ -20,6 +20,22 @@ times ``pivot_lists`` on those lists; the random pivot uses --seed, and
 the merge input is the degree-pivot clustering.  The mfp row times one
 whole match_flip_pivot call with the degree strategy: matcher, strip,
 pivot and scoring.
+
+The cli rows come first, before any call in this process raises its
+memory.  Each launches ``python -m clusterdel.cli`` as a child (``run``,
+``run --algo stclp`` and ``lb``) on one benchmark input file, and the
+cli-import row a child that runs ``python -c "import clusterdel.cli"``,
+the start-up every command pays.  Their seconds are wall time from launch
+to exit, the median of 5 children.  Their memory column is not a change
+but the last child's own peak resident MiB, from ``os.wait4``.  On Linux
+that peak is never below this process's peak when the child starts.
+That is why these rows run first: this process then holds about 30 MiB,
+close to what the cli-import child needs, so that row reads the floor.
+Their problem size is the file's edge count.  The quick sweep runs them on
+the seed-11 file of the first ``planted-lp`` graph, --big on the seed-11
+``big-mfp`` file; perfbench's ``inputs.ensure_inputs`` makes both in its
+cache directory.
+
 Sizes default to a quick sweep; --big adds the acceptance-scale
 instances (m around 10^6 for the matcher, and edges plus open wedges
 around half a million for the LP) and the parse rows.  The parse row
@@ -57,6 +73,7 @@ import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))
 
 from clusterdel import (  # noqa: E402
     PivotStrategy,
@@ -69,6 +86,8 @@ from clusterdel import (  # noqa: E402
     solve_stc_lp,
 )
 from clusterdel.pivoting import adjacency_lists, pivot_lists  # noqa: E402
+from inputs import ensure_inputs  # noqa: E402
+from workloads import WORKLOADS  # noqa: E402
 
 MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
 MATCHER_BIG = [(20_000, 0.005)]
@@ -79,6 +98,13 @@ BENCH_SEEDS = range(11, 16)
 # calls per timed row; a row's seconds are their median
 RUNS = 5
 CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "rss_delta_mib")
+# perfbench's input cache, shared so that each file is generated once
+CACHE_DIR = ROOT / ".perfbench_cache"
+# the cli rows' file is made from this perfbench seed
+CLI_SEED = 11
+CLI_ROWS = (("cli-run", ["run"]),
+            ("cli-run-stclp", ["run", "--algo", "stclp"]),
+            ("cli-lb", ["lb"]))
 
 
 def rss_bytes() -> int:
@@ -123,6 +149,42 @@ def timed(fn, *args, before: int | None = None):
         out = fn(*args)
         seconds.append(perf_counter() - t0)
     return out, statistics.median(seconds), delta
+
+
+def child_peak_mib(argv: list[str]) -> float:
+    """Run argv to its end with this checkout's src/ first on the import
+    path; return the child's peak resident MiB.  A failed child raises
+    RuntimeError with the end of its standard error."""
+    path = os.pathsep.join(filter(None, (str(ROOT / "src"),
+                                         os.environ.get("PYTHONPATH"))))
+    with tempfile.TemporaryFile() as err, subprocess.Popen(
+            argv, stdout=subprocess.DEVNULL, stderr=err,
+            env=dict(os.environ, PYTHONPATH=path)) as proc:
+        _, status, usage = os.wait4(proc.pid, 0)
+        proc.returncode = os.waitstatus_to_exitcode(status)
+        if proc.returncode:
+            err.seek(0)
+            raise RuntimeError(f"{argv} exited {proc.returncode}: "
+                               f"{err.read().decode()[-2000:]}")
+    return usage.ru_maxrss / 1024
+
+
+def bench_cli(big: bool) -> list[dict]:
+    spec = WORKLOADS["big-mfp" if big else "planted-lp"].specs[0]
+    path, = ensure_inputs(CACHE_DIR, [spec], CLI_SEED)
+    peak, elapsed, _ = timed(child_peak_mib,
+                             [sys.executable, "-c", "import clusterdel.cli"])
+    timings = [("cli-import", elapsed, peak)]
+    for stage, command in CLI_ROWS:
+        peak, elapsed, _ = timed(child_peak_mib,
+                                 [sys.executable, "-m", "clusterdel.cli",
+                                  *command, "--in", str(path)])
+        timings.append((stage, elapsed, peak))
+    # parsed only once every child has run, see above
+    g = parse_file(path)
+    return [row(stage, *((0, 0, 0) if stage == "cli-import"
+                         else (g.n, g.m, g.m)), elapsed, peak)
+            for stage, elapsed, peak in timings]
 
 
 def bench_matcher(n: int, p: float, seed: int) -> list[dict]:
@@ -272,8 +334,10 @@ def main(argv: list[str] | None = None) -> int:
     benches += [(bench_pivot_and_merge, n, p) for n, p in PIVOT_MERGE]
     print(",".join(CSV_FIELDS))
     rows = []
-    for bench, n, p in benches:
-        for r in bench(n, p, args.seed):
+    calls = [(bench_cli, args.big)]
+    calls += [(bench, n, p, args.seed) for bench, n, p in benches]
+    for bench, *bench_args in calls:
+        for r in bench(*bench_args):
             print(csv_line(r), flush=True)
             rows.append(r)
     if args.json is not None:

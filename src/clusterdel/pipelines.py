@@ -253,8 +253,8 @@ def merge_clusters(g: Graph, clustering: Clustering,
     finds nothing to merge is the count alone.
 
     clustering must partition g's nodes into non-empty clusters, as
-    pivoting and merging do (ValueError otherwise); only its assignment
-    and its number of clusters are read.
+    pivoting and merging do (ValueError otherwise).  Its assignment is
+    read; of its clusters, only their sizes, which must match it.
     """
     if budget_ms is not None and not budget_ms >= 0:
         raise ValueError("merge budget must be a non-negative number of "
@@ -268,6 +268,11 @@ def merge_clusters(g: Graph, clustering: Clustering,
     sizes = np.bincount(owner, minlength=k0).tolist()
     if 0 in sizes:
         raise ValueError(f"cluster {sizes.index(0)} is empty")
+    listed = list(map(len, clustering.clusters))
+    if sizes != listed:
+        c = next(c for c in range(k0) if sizes[c] != listed[c])
+        raise ValueError(f"cluster {c} lists {listed[c]} nodes, but the "
+                         f"assignment gives it {sizes[c]}")
     # the clusters at the two ends of each cut edge
     ou, ov = owner[g._edge_u], owner[g._edge_v]
     cut = ou != ov

@@ -10,12 +10,19 @@ Nemhauser & Trotter (1975) it is solved exactly on the bipartite double
 cover: a left copy (intake) and a right copy (outlet) of every edge, with
 intake(e) -- outlet(f) whenever e and f are the two legs of an open wedge.
 As a cut network (unit arcs source -> intake and outlet -> sink, uncuttable
-arcs intake -> outlet) its maximum flow is a maximum matching, found here
-by Hopcroft & Karp (1973).  The source side of the inclusion-minimal
-minimum cut is what alternating paths reach from the unmatched intakes: an
-intake reaches all its outlets, an outlet reaches its mate.  That set is
-the same for every maximum matching (König), so the values do not depend
-on which one the matcher finds.  With lo(e) = [intake(e) reached] and
+arcs intake -> outlet) its maximum flow is a maximum matching.  It is found
+in three stages: a first-fit greedy start; Pothen-Fan+ phases, depth-first
+augmentation with a lookahead that Duff, Kaya & Uçar (2011) found fastest
+in practice, while each phase augments a fair share of its free roots;
+and Hopcroft & Karp (1973) phases to finish, since on hub graphs
+Pothen-Fan+ needs hundreds of phases that each gain little.  The source
+side of the inclusion-minimal minimum cut is what alternating paths reach
+from the unmatched intakes: an intake reaches all its outlets, an outlet
+reaches its mate.  That set is the same for every maximum matching: the
+source sides of all minimum cuts are closed under intersection, so the
+inclusion-minimal one is unique, a property of the network alone (König).
+So the values do not depend on which maximum matching the matcher finds,
+nor on how it finds it.  With lo(e) = [intake(e) reached] and
 hi(e) = [outlet(e) reached], the weakness in half-units is hi - lo + 1,
 and the objective equals the cut value, which equals the matching size.
 """
@@ -34,6 +41,12 @@ DEFAULT_ARC_BUDGET = 5_000_000
 # arrays, so that a hub of huge degree hits the arc budget after a few
 # blocks instead of materialising all of its pairs first.
 _PAIR_BLOCK = 1 << 18
+
+# Share of its free roots a Pothen-Fan+ phase must augment for the next
+# phase to run; below it, Hopcroft-Karp finishes the matching.  Picked on
+# the hub graph of the big-mfp benchmark workload, where 0.1 and 0.01 each
+# left two more Hopcroft-Karp phases to run; planted-lp barely depends on it.
+_PF_MIN_GAIN = 0.02
 
 
 class ArcBudgetError(RuntimeError):
@@ -106,19 +119,86 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
     return ptr.tolist(), heads[np.argsort(tails, kind="stable")].tolist()
 
 
-def _hopcroft_karp(ptr: list[int], adj: list[int]
-                   ) -> tuple[list[int], list[int]]:
+def _maximum_matching(ptr: list[int], adj: list[int]
+                      ) -> tuple[list[int], list[int]]:
     """Maximum matching of the double cover as (left mates, right mates),
-    -1 for unmatched.  adj is symmetric, so it serves both sides."""
+    -1 for unmatched.  adj is symmetric, so it serves both sides.
+
+    A first-fit greedy start, then Pothen-Fan+ phases while they pay, then
+    Hopcroft-Karp phases until no augmenting path is left."""
     n = len(ptr) - 1
     mate_l = [-1] * n
     mate_r = [-1] * n
+    # look[u]: u's arcs before it lead to matched right nodes, which stay
+    # matched, so u's search for a free neighbour resumes there
+    look = ptr[1:]
     for u in range(n):
         for v in adj[ptr[u]:ptr[u + 1]]:
             if mate_r[v] < 0:
                 mate_l[u] = v
                 mate_r[v] = u
+                look[u] = adj.index(v, ptr[u]) + 1
                 break
+    # Pothen-Fan+: one DFS per free left node, each right node entered at
+    # most once a phase (seen holds the phase number), a lookahead for a
+    # free neighbour at every left node reached, and the scan direction
+    # flipped every phase
+    free = [u for u in range(n) if mate_l[u] < 0 and ptr[u] < ptr[u + 1]]
+    ends = ptr[1:]
+    lasts = [p - 1 for p in ends]
+    befores = [p - 1 for p in ptr]
+    it = [0] * n
+    seen = [0] * n
+    phase = 0
+    while free:
+        phase += 1
+        if phase % 2:
+            first, stop, step = ptr, ends, 1
+        else:
+            first, stop, step = lasts, befores, -1
+        augmented = 0
+        for root in free:
+            path = [root]
+            it[root] = first[root]
+            u = root
+            while True:
+                p = look[u]
+                end = ends[u]
+                while p < end and mate_r[adj[p]] >= 0:
+                    p += 1
+                look[u] = p
+                if p < end:
+                    # flip the path: each left node takes the right node
+                    # its successor held, the last one the free node
+                    v = adj[p]
+                    for x in reversed(path):
+                        mate_r[v] = x
+                        mate_l[x], v = v, mate_l[x]
+                    augmented += 1
+                    break
+                while path:
+                    u = path[-1]
+                    p = it[u]
+                    end = stop[u]
+                    while p != end and seen[adj[p]] == phase:
+                        p += step
+                    if p != end:
+                        break
+                    path.pop()
+                else:
+                    break
+                v = adj[p]
+                it[u] = p + step
+                seen[v] = phase
+                u = mate_r[v]
+                it[u] = first[u]
+                path.append(u)
+        if augmented == 0:
+            # no root reached a free node, so no augmenting path is left
+            return mate_l, mate_r
+        if augmented < _PF_MIN_GAIN * len(free):
+            break
+        free = [u for u in free if mate_l[u] < 0]
     while True:
         # BFS layers over left nodes along alternating paths
         free = [u for u in range(n) if mate_l[u] < 0 and ptr[u] < ptr[u + 1]]
@@ -177,7 +257,7 @@ def solve_stc_lp(g: Graph,
         raise ValueError(f"arc_budget must not be negative, not {arc_budget}")
     ptr, adj = _gallai_csr(g, arc_budget)
     m = g.m
-    mate_l, mate_r = _hopcroft_karp(ptr, adj)
+    mate_l, mate_r = _maximum_matching(ptr, adj)
     # König: alternating reachability from the unmatched left nodes
     lo = [1 if v < 0 else 0 for v in mate_l]
     hi = [0] * m

@@ -2,10 +2,11 @@
 
 Exact solvers for small inputs (exponential time, guarded by size), the
 open-wedge enumerator, the greedy wedge matcher over its output, the
-canonical wedge set of the tight family, and the verifiers of a wedge set
-and of relaxation values.  Each is written against the problem definition
-directly and independently of the approximation pipeline, so agreement
-between the two is meaningful evidence.  The one exception,
+canonical wedge set of the tight family, the verifiers of a wedge set and
+of relaxation values, and the relaxation's former matcher (plain
+Hopcroft-Karp from a greedy start).  Each is written against the problem
+definition directly and independently of the approximation pipeline, so
+agreement between the two is meaningful evidence.  The one exception,
 ``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
 strip, pivot and scoring, once ``verify_wedge_set`` has accepted it.
 """
@@ -324,3 +325,62 @@ def exact_stc_lp(g: Graph, max_m: int = 12) -> int:
 
     bt(0, 0)
     return best[0]
+
+
+def hopcroft_karp(ptr: list[int], adj: list[int]
+                  ) -> tuple[list[int], list[int]]:
+    """Maximum matching of the double cover as (left mates, right mates),
+    -1 for unmatched.  adj is symmetric, so it serves both sides."""
+    n = len(ptr) - 1
+    mate_l = [-1] * n
+    mate_r = [-1] * n
+    for u in range(n):
+        for v in adj[ptr[u]:ptr[u + 1]]:
+            if mate_r[v] < 0:
+                mate_l[u] = v
+                mate_r[v] = u
+                break
+    while True:
+        # BFS layers over left nodes along alternating paths
+        free = [u for u in range(n) if mate_l[u] < 0 and ptr[u] < ptr[u + 1]]
+        dist = [-1] * n
+        for u in free:
+            dist[u] = 0
+        reachable_free = False
+        queue = list(free)
+        qi = 0
+        while qi < len(queue):
+            u = queue[qi]
+            qi += 1
+            du = dist[u] + 1
+            for v in adj[ptr[u]:ptr[u + 1]]:
+                w = mate_r[v]
+                if w < 0:
+                    reachable_free = True
+                elif dist[w] < 0:
+                    dist[w] = du
+                    queue.append(w)
+        if not reachable_free:
+            return mate_l, mate_r
+        # one DFS per free root along the layers; dead ends get dist -1
+        it = ptr[:-1]
+        for root in free:
+            stack = [root]
+            while stack:
+                u = stack[-1]
+                p = it[u]
+                if p == ptr[u + 1]:
+                    dist[u] = -1
+                    stack.pop()
+                    continue
+                v = adj[p]
+                it[u] = p + 1
+                w = mate_r[v]
+                if w < 0:
+                    for x in stack:
+                        y = adj[it[x] - 1]
+                        mate_l[x] = y
+                        mate_r[y] = x
+                    break
+                if dist[w] == dist[u] + 1:
+                    stack.append(w)

@@ -243,15 +243,22 @@ def test_star():
     assert_same_as_references(g)
 
 
-@pytest.mark.parametrize("assignment, clusters", [
-    ([0, 0, 2, 2], [[0, 1], [], [2, 3]]),
-    ([0, 0, -1, 1], [[0, 1], [3]]),
-    ([0, 0, 1], [[0, 1], [2]]),
-    ([0, 0, 1, 2], [[0, 1], [2]]),
+PAW = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+PATH = Graph.from_edges(3, [(0, 1), (1, 2)])
+
+
+@pytest.mark.parametrize("g, assignment, clusters", [
+    (PAW, [0, 0, 2, 2], [[0, 1], [], [2, 3]]),
+    (PAW, [0, 0, -1, 1], [[0, 1], [3]]),
+    (PAW, [0, 0, 1], [[0, 1], [2]]),
+    (PAW, [0, 0, 1, 2], [[0, 1], [2]]),
+    # the two views disagree: the clusters list another partition
+    (PATH, [0, 0, 1], [[0, 1], []]),
+    (PATH, [0, 0, 1], [[2], [0, 1]]),
 ], ids=["empty-cluster", "node-in-no-cluster", "short-assignment",
-        "id-past-last-cluster"])
-def test_merge_rejects_what_is_not_a_partition(assignment, clusters):
-    g = Graph.from_edges(4, [(0, 1), (0, 2), (1, 2), (2, 3)])
+        "id-past-last-cluster", "node-missing-from-clusters",
+        "clusters-disagree-with-assignment"])
+def test_merge_rejects_what_is_not_a_partition(g, assignment, clusters):
     for passes in (None, 0):
         with pytest.raises(ValueError):
             merge_clusters(g, Clustering(assignment, clusters), passes)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import random
 import tracemalloc
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -18,8 +20,10 @@ from clusterdel import (
 from clusterdel import stc
 from clusterdel.stc import DEFAULT_ARC_BUDGET
 from helpers import (edge_ids, labels_feasible, labels_from_values,
-                     solution_lines, stc_cut_network, values_from_labels)
-from oracles import enumerate_open_wedges, exact_stc_lp, verify_stc_feasible
+                     planted_clusters, solution_lines, stc_cut_network,
+                     values_from_labels)
+from oracles import (enumerate_open_wedges, exact_stc_lp, hopcroft_karp,
+                     verify_stc_feasible)
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -194,13 +198,13 @@ def test_huge_star_fails_fast_in_bounded_memory():
 
 def test_objective_must_equal_matching_size(monkeypatch):
     # an empty matching is not maximum; the König read-off then disagrees
-    real = stc._hopcroft_karp
+    real = stc._maximum_matching
 
     def empty_matching(ptr, adj):
         mate_l, _ = real(ptr, adj)
         return [-1] * len(mate_l), [-1] * len(mate_l)
 
-    monkeypatch.setattr(stc, "_hopcroft_karp", empty_matching)
+    monkeypatch.setattr(stc, "_maximum_matching", empty_matching)
     with pytest.raises(InvariantError, match="matching size"):
         solve_stc_lp(P3)
 
@@ -211,3 +215,123 @@ def test_solution_lines_use_labels():
     g = parse_edge_list("10 20\n20 30\n")
     sol = solve_stc_lp(g)
     assert solution_lines(sol) == ["10 20 1", "20 30 1"]
+
+
+def assert_maximum_matching(ptr: list[int], adj: list[int]) -> list[int]:
+    """The matcher's mates are inverse maps along arcs of the CSR, and the
+    matching is as large as the Hopcroft-Karp oracle's.  Returns mate_l."""
+    mate_l, mate_r = stc._maximum_matching(ptr, adj)
+    assert len(mate_l) == len(mate_r) == len(ptr) - 1
+    for u, v in enumerate(mate_l):
+        if v >= 0:
+            assert mate_r[v] == u
+            assert v in adj[ptr[u]:ptr[u + 1]]
+    for v, u in enumerate(mate_r):
+        if u >= 0:
+            assert mate_l[u] == v
+    assert mate_l.count(-1) == hopcroft_karp(ptr, adj)[0].count(-1)
+    return mate_l
+
+
+@st.composite
+def symmetric_csrs(draw) -> tuple[list[int], list[int]]:
+    """A CSR with arc u -> v exactly when v -> u, no loops and no repeated
+    arcs, as the Gallai graph has; each row in a drawn order, since the
+    scans follow it."""
+    n = draw(st.integers(1, 30))
+    pairs = draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                    st.integers(0, n - 1)), max_size=4 * n))
+    rows: list[set[int]] = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            rows[u].add(v)
+            rows[v].add(u)
+    ptr, adj = [0], []
+    for row in rows:
+        adj += draw(st.permutations(sorted(row)))
+        ptr.append(len(adj))
+    return ptr, adj
+
+
+# no Pothen-Fan+ phase hands over, the shipped share, and a handover
+# after the first phase that augments anything
+GAINS = (0.0, stc._PF_MIN_GAIN, 2.0)
+
+
+@settings(max_examples=300, deadline=None)
+@given(symmetric_csrs(), st.sampled_from(GAINS))
+def test_matching_is_maximum_on_symmetric_csrs(csr, gain):
+    with mock.patch.object(stc, "_PF_MIN_GAIN", gain):
+        assert_maximum_matching(*csr)
+
+
+def hub_graph(seed: int) -> Graph:
+    """Disjoint cliques of 3 to 8 nodes, plus node 0 joined to a seeded
+    share of all other nodes: most open wedges have their center at 0."""
+    rng = random.Random(seed)
+    edges, base = [], 1
+    for _ in range(rng.randint(3, 12)):
+        size = rng.randint(3, 8)
+        edges += [(base + a, base + b)
+                  for a in range(size) for b in range(a + 1, size)]
+        base += size
+    share = rng.choice((0.2, 0.5, 1.0))
+    edges += [(0, v) for v in range(1, base) if rng.random() < share]
+    return Graph.from_edges(base, edges)
+
+
+def graph_of_kind(kind: str, seed: int) -> Graph:
+    rng = random.Random(seed)
+    if kind == "er":
+        return er_graph(rng.randint(5, 60),
+                        rng.choice((0.05, 0.1, 0.2, 0.4)), seed=seed)
+    if kind == "planted":
+        sizes = [rng.randint(2, 10) for _ in range(rng.randint(3, 12))]
+        return planted_clusters(sizes, rng.choice((0.0, 0.1, 0.3)),
+                                rng.randint(0, 40), seed)
+    return hub_graph(seed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("er", "planted", "hub")), st.integers(0, 10**6),
+       st.sampled_from(GAINS))
+def test_matching_is_maximum_on_gallai_csrs(kind, seed, gain):
+    ptr, adj = stc._gallai_csr(graph_of_kind(kind, seed), DEFAULT_ARC_BUDGET)
+    with mock.patch.object(stc, "_PF_MIN_GAIN", gain):
+        assert_maximum_matching(ptr, adj)
+
+
+class HandoverProbe:
+    """Stands in for _PF_MIN_GAIN.  The matcher compares a phase's
+    augmentations with _PF_MIN_GAIN * roots; the probe records (roots,
+    augmentations) and makes every such phase hand over."""
+
+    def __init__(self):
+        self.phases: list[tuple[int, int]] = []
+
+    def __mul__(self, roots: int):
+        probe = self
+
+        class Threshold:
+            def __gt__(self, augmented: int) -> bool:
+                probe.phases.append((roots, augmented))
+                return True
+
+        return Threshold()
+
+
+def test_hopcroft_karp_finishes_a_warm_start_below_maximum():
+    # on this graph's double cover the greedy start and one Pothen-Fan+
+    # phase leave the matching one short of maximum
+    g = er_graph(7, 0.5, seed=11)
+    ptr, adj = stc._gallai_csr(g, DEFAULT_ARC_BUDGET)
+    probe = HandoverProbe()
+    with mock.patch.object(stc, "_PF_MIN_GAIN", probe):
+        mate_l = assert_maximum_matching(ptr, adj)
+    assert len(probe.phases) == 1
+    roots, augmented = probe.phases[0]
+    assert augmented > 0
+    with_arcs = sum(ptr[u] < ptr[u + 1] for u in range(g.m))
+    warm = with_arcs - (roots - augmented)
+    maximum = g.m - mate_l.count(-1)
+    assert warm == maximum - 1
