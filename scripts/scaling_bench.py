@@ -22,15 +22,18 @@ whole match_flip_pivot call with the degree strategy: matcher, strip,
 pivot and scoring.
 
 The cli rows come first, before any call in this process raises its
-memory.  Each launches ``python -m clusterdel.cli`` as a child (``run``,
-``run --algo stclp`` and ``lb``) on one benchmark input file, and the
-cli-import row a child that runs ``python -c "import clusterdel.cli"``,
-the start-up every command pays.  Their seconds are wall time from launch
-to exit, the median of 5 children.  Their memory column is not a change
-but the last child's own peak resident MiB, from ``os.wait4``.  On Linux
-that peak is never below this process's peak when the child starts.
-That is why these rows run first: this process then holds about 30 MiB,
-close to what the cli-import child needs, so that row reads the floor.
+memory.  Each launches ``clusterdel.cli`` as a child, run as ``python -m``
+runs it (``run``, ``run --algo stclp`` and ``lb``), on one benchmark input
+file, and the cli-import row a child that only imports
+``clusterdel.cli``, the start-up every command pays.  Their seconds are
+wall time from launch to exit, the median of 5 children.  Their memory
+column is not a change but the last child's own peak resident MiB: as it
+exits, each child writes its ``VmHWM`` from ``/proc/self/status`` to its
+standard error.  Where ``/proc`` is missing, the column falls back to the
+child's ``ru_maxrss`` from ``os.wait4``, which on Linux is never below
+this process's peak when the child starts.  Running these rows first
+keeps that fallback near the child's own peak: this process then holds
+about 30 MiB, close to what the cli-import child needs.
 Their problem size is the file's edge count.  The quick sweep runs them on
 the seed-11 file of the first ``planted-lp`` graph, --big on the seed-11
 ``big-mfp`` file; perfbench's ``inputs.ensure_inputs`` makes both in its
@@ -105,6 +108,22 @@ CLI_SEED = 11
 CLI_ROWS = (("cli-run", ["run"]),
             ("cli-run-stclp", ["run", "--algo", "stclp"]),
             ("cli-lb", ["lb"]))
+# The start of every cli child's ``python -c`` program: at exit, the child
+# writes its own peak resident memory, the VmHWM line of its status, as
+# the last line of its standard error.
+CHILD_PEAK = """\
+import atexit, sys
+def _report_peak():
+    try:
+        with open("/proc/self/status") as fh:
+            sys.stderr.writelines(l for l in fh if l.startswith("VmHWM:"))
+    except OSError:
+        pass
+atexit.register(_report_peak)
+"""
+CHILD_IMPORT = CHILD_PEAK + "import clusterdel.cli\n"
+CHILD_CLI = CHILD_PEAK + ("import runpy\nrunpy.run_module('clusterdel.cli', "
+                          "run_name='__main__', alter_sys=True)\n")
 
 
 def rss_bytes() -> int:
@@ -152,9 +171,10 @@ def timed(fn, *args, before: int | None = None):
 
 
 def child_peak_mib(argv: list[str]) -> float:
-    """Run argv to its end with this checkout's src/ first on the import
-    path; return the child's peak resident MiB.  A failed child raises
-    RuntimeError with the end of its standard error."""
+    """Run argv, a CHILD_PEAK program, to its end with this checkout's src/
+    first on the import path; return the child's peak resident MiB, the
+    VmHWM it reports, or its ru_maxrss where it reports none.  A failed
+    child raises RuntimeError with the end of its standard error."""
     path = os.pathsep.join(filter(None, (str(ROOT / "src"),
                                          os.environ.get("PYTHONPATH"))))
     with tempfile.TemporaryFile() as err, subprocess.Popen(
@@ -162,10 +182,13 @@ def child_peak_mib(argv: list[str]) -> float:
             env=dict(os.environ, PYTHONPATH=path)) as proc:
         _, status, usage = os.wait4(proc.pid, 0)
         proc.returncode = os.waitstatus_to_exitcode(status)
+        err.seek(0)
+        lines = err.read().decode().splitlines()
         if proc.returncode:
-            err.seek(0)
             raise RuntimeError(f"{argv} exited {proc.returncode}: "
-                               f"{err.read().decode()[-2000:]}")
+                               + "\n".join(lines)[-2000:])
+    if lines and lines[-1].startswith("VmHWM:"):
+        return int(lines[-1].split()[1]) / 1024  # the line is in kB
     return usage.ru_maxrss / 1024
 
 
@@ -173,11 +196,11 @@ def bench_cli(big: bool) -> list[dict]:
     spec = WORKLOADS["big-mfp" if big else "planted-lp"].specs[0]
     path, = ensure_inputs(CACHE_DIR, [spec], CLI_SEED)
     peak, elapsed, _ = timed(child_peak_mib,
-                             [sys.executable, "-c", "import clusterdel.cli"])
+                             [sys.executable, "-c", CHILD_IMPORT])
     timings = [("cli-import", elapsed, peak)]
     for stage, command in CLI_ROWS:
         peak, elapsed, _ = timed(child_peak_mib,
-                                 [sys.executable, "-m", "clusterdel.cli",
+                                 [sys.executable, "-c", CHILD_CLI,
                                   *command, "--in", str(path)])
         timings.append((stage, elapsed, peak))
     # parsed only once every child has run, see above
@@ -321,9 +344,9 @@ def main(argv: list[str] | None = None) -> int:
                     help="also run the benchmark and write both to this file")
     argv = sys.argv[1:] if argv is None else argv
     args = ap.parse_args(argv)
-    # The benchmark runs go first: a child's peak RSS includes this
-    # process's peak at the time it is started, which the rows below raise
-    # to hundreds of MiB.
+    # The benchmark runs go first: perfbench reads its peak RSS from
+    # ru_maxrss, which includes this process's peak at the time it is
+    # started, and the rows below raise that to hundreds of MiB.
     runs = perfbench_runs() if args.json is not None else []
     benches = [(bench_matcher, n, p)
                for n, p in MATCHER_SWEEP + (MATCHER_BIG if args.big else [])]

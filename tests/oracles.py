@@ -3,8 +3,10 @@
 Exact solvers for small inputs (exponential time, guarded by size), the
 open-wedge enumerator, the greedy wedge matcher over its output, the
 canonical wedge set of the tight family, the verifiers of a wedge set and
-of relaxation values, and the relaxation's former matcher (plain
-Hopcroft-Karp from a greedy start).  Each is written against the problem
+of relaxation values, the relaxation's former matcher (plain
+Hopcroft-Karp from a greedy start), and its former Gallai build (a stable
+sort of the arcs by tail) and first-fit start (a slice and a search per
+row).  Each is written against the problem
 definition directly and independently of the approximation pipeline, so
 agreement between the two is meaningful evidence.  The one exception,
 ``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
@@ -15,7 +17,10 @@ from __future__ import annotations
 
 from typing import Callable, Sequence
 
-from clusterdel import CDResult, Graph, PivotStrategy, WedgeSet, pack_edge
+import numpy as np
+
+from clusterdel import (ArcBudgetError, CDResult, Graph, PivotStrategy,
+                        WedgeSet, pack_edge)
 from clusterdel import pipelines
 from clusterdel.graph import _SHIFT
 from clusterdel.pivoting import adjacency_lists
@@ -384,3 +389,72 @@ def hopcroft_karp(ptr: list[int], adj: list[int]
                     break
                 if dist[w] == dist[u] + 1:
                     stack.append(w)
+
+
+def gallai_csr_by_stable_sort(g: Graph, arc_budget: int,
+                              pair_block: int = 1 << 18
+                              ) -> tuple[list[int], list[int]]:
+    """The relaxation's Gallai CSR as ``stc._gallai_csr`` built it before
+    it sorted distinct keys: three ``np.repeat`` calls per block of
+    candidate pairs, and the arcs grouped by tail with a stable argsort."""
+    m = g.m
+    if 2 * m > arc_budget:
+        raise ArcBudgetError(2 * m, arc_budget)
+    if m == 0:
+        return [0], []
+    indptr = g._indptr
+    nbrs = g._nbrs
+    sorted_keys = np.sort((g._edge_u << 32) | g._edge_v)
+    deg = np.diff(indptr)
+    row_of = np.repeat(np.arange(g.n, dtype=np.int64), deg)
+    pairs_at = indptr[row_of + 1] - np.arange(2 * m) - 1
+    pairs_upto = np.cumsum(pairs_at)
+    arcs = 2 * m
+    legs_a = [np.zeros(0, dtype=np.int64)]
+    legs_b = [np.zeros(0, dtype=np.int64)]
+    s0 = 0
+    while s0 < 2 * m:
+        done = int(pairs_upto[s0 - 1]) if s0 else 0
+        s1 = int(np.searchsorted(pairs_upto, done + pair_block, "right"))
+        s1 = min(max(s1, s0 + 1), 2 * m)
+        counts = pairs_at[s0:s1]
+        total = int(pairs_upto[s1 - 1]) - done
+        s_lo, s0 = s0, s1
+        if total == 0:
+            continue
+        first = np.repeat(np.arange(s_lo, s1), counts)
+        offset = np.repeat(np.cumsum(counts) - counts, counts)
+        second = first + 1 + (np.arange(total) - offset)
+        pair_keys = (nbrs[first] << 32) | nbrs[second]
+        pos = np.minimum(np.searchsorted(sorted_keys, pair_keys), m - 1)
+        is_open = sorted_keys[pos] != pair_keys
+        arcs += 2 * int(np.count_nonzero(is_open))
+        if arcs > arc_budget:
+            raise ArcBudgetError(arc_budget + 2 - (arc_budget - 2 * m) % 2,
+                                 arc_budget)
+        legs_a.append(g._slot_eid[first[is_open]])
+        legs_b.append(g._slot_eid[second[is_open]])
+    tails = np.concatenate(legs_a + legs_b)
+    heads = np.concatenate(legs_b + legs_a)
+    ptr = np.zeros(m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(tails, minlength=m), out=ptr[1:])
+    return ptr.tolist(), heads[np.argsort(tails, kind="stable")].tolist()
+
+
+def first_fit_by_slices(ptr: list[int], adj: list[int]
+                        ) -> tuple[list[int], list[int], list[int]]:
+    """The relaxation matcher's greedy start as it was: each row sliced
+    out of adj, and the mate's position found with ``adj.index``.  Returns
+    (left mates, right mates, look) as ``stc._first_fit`` does."""
+    n = len(ptr) - 1
+    mate_l = [-1] * n
+    mate_r = [-1] * n
+    look = ptr[1:]
+    for u in range(n):
+        for v in adj[ptr[u]:ptr[u + 1]]:
+            if mate_r[v] < 0:
+                mate_l[u] = v
+                mate_r[v] = u
+                look[u] = adj.index(v, ptr[u]) + 1
+                break
+    return mate_l, mate_r, look

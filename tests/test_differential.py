@@ -2,7 +2,9 @@
 
 Each must give exactly what its reference gives:
 - the matcher: the wedges, weak set, weak mask and inspection count of
-  the sweep driven by the skip-list cursor object;
+  the sweep driven by the skip-list cursor object, also when its rows are
+  converted a few CSR slots at a time, for hub rows longer than a block,
+  and where many centers filter weak lower edges;
 - pivot: the per-round audit, clusters and assignment of pivoting on a
   residual-graph object, for every strategy, and of the ratio pivot by a
   full scan per round;
@@ -26,6 +28,7 @@ Each must give exactly what its reference gives:
 from __future__ import annotations
 
 import random
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -35,7 +38,7 @@ from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         best_of_random, er_graph, match_flip_pivot,
                         maximal_wedge_set_fast, merge_clusters, pivot,
                         solve_stc_lp, stc_lp_round)
-from clusterdel import pipelines
+from clusterdel import pipelines, wedges
 from clusterdel.pipelines import _prepare
 from helpers import (edge_mask, maximal_wedge_set_by_cursor,
                      merge_clusters_pairwise, pivot_by_residual_graph,
@@ -56,6 +59,56 @@ def assert_same_matching(g: Graph) -> None:
     assert ws.weak_edges == weak
     assert ws.weak_mask.tolist() == edge_mask(g, weak).tolist()
     assert ws.inspections == inspections
+
+
+def centers_with_weak_lower_edges(g: Graph) -> int:
+    """Centers that reach their turn with a lower edge already weak: the
+    far ends, above their center, of matched legs."""
+    return len({x for i, j, k in maximal_wedge_set_by_cursor(g)[0]
+                for x in (i, j) if x > k})
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(("er", "planted")), st.integers(0, 10**6),
+       st.integers(1, 9))
+def test_matcher_rows_across_block_ends(kind, seed, block):
+    rng = random.Random(seed)
+    if kind == "er":
+        g = er_graph(rng.randint(0, 40), rng.choice((0.1, 0.25, 0.5, 0.8)),
+                     seed=seed)
+    else:
+        g = planted_clusters([rng.randint(2, 8) for _ in range(8)],
+                             rng.choice((0.0, 0.2, 0.4)), rng.randint(0, 30),
+                             seed)
+    with mock.patch.object(wedges, "_ROW_BLOCK", block):
+        assert_same_matching(g)
+
+
+def test_matcher_hub_rows_longer_than_a_block():
+    # two hubs, one mid-graph and one last, each adjacent to more nodes
+    # than a block holds; leaves joined in paths and at random give the
+    # sweeps triangles to certify and the leaves weak lower edges
+    d = wedges._ROW_BLOCK + 300
+    rng = random.Random(5)
+    mid, last = d // 2, d + 1
+    leaves = [v for v in range(d + 2) if v not in (mid, last)]
+    edges = [(hub, v) for hub in (mid, last) for v in leaves]
+    edges += [(v, v + 1) for v in range(0, d, 3)]
+    edges += [(rng.choice(leaves), rng.choice(leaves)) for _ in range(d)]
+    g = Graph.from_edges(d + 2, edges)
+    assert min(g.degree(mid), g.degree(last)) > wedges._ROW_BLOCK
+    assert centers_with_weak_lower_edges(g) > d // 4
+    assert_same_matching(g)
+    with mock.patch.object(wedges, "_ROW_BLOCK", 100):
+        assert_same_matching(g)
+
+
+@pytest.mark.parametrize("block", [2, 5, wedges._ROW_BLOCK])
+def test_matcher_many_centers_with_weak_lower_edges(block):
+    g = planted_clusters([3, 4, 5, 6] * 25, 0.3, 150, 7)
+    assert centers_with_weak_lower_edges(g) > g.n // 4
+    with mock.patch.object(wedges, "_ROW_BLOCK", block):
+        assert_same_matching(g)
 
 
 def assert_same_pivots(g: Graph) -> None:

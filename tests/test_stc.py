@@ -22,8 +22,9 @@ from clusterdel.stc import DEFAULT_ARC_BUDGET
 from helpers import (edge_ids, labels_feasible, labels_from_values,
                      planted_clusters, solution_lines, stc_cut_network,
                      values_from_labels)
-from oracles import (enumerate_open_wedges, exact_stc_lp, hopcroft_karp,
-                     verify_stc_feasible)
+from oracles import (enumerate_open_wedges, exact_stc_lp,
+                     first_fit_by_slices, gallai_csr_by_stable_sort,
+                     hopcroft_karp, verify_stc_feasible)
 
 P3 = Graph.from_edges(3, [(0, 1), (1, 2)])
 TRIANGLE = Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)])
@@ -265,6 +266,12 @@ def test_matching_is_maximum_on_symmetric_csrs(csr, gain):
         assert_maximum_matching(*csr)
 
 
+@settings(max_examples=300, deadline=None)
+@given(symmetric_csrs())
+def test_first_fit_is_the_slice_start_on_symmetric_csrs(csr):
+    assert stc._first_fit(*csr) == first_fit_by_slices(*csr)
+
+
 def hub_graph(seed: int) -> Graph:
     """Disjoint cliques of 3 to 8 nodes, plus node 0 joined to a seeded
     share of all other nodes: most open wedges have their center at 0."""
@@ -299,6 +306,50 @@ def test_matching_is_maximum_on_gallai_csrs(kind, seed, gain):
     ptr, adj = stc._gallai_csr(graph_of_kind(kind, seed), DEFAULT_ARC_BUDGET)
     with mock.patch.object(stc, "_PF_MIN_GAIN", gain):
         assert_maximum_matching(ptr, adj)
+
+
+# a few pairs per block, so that most graphs take several blocks, and
+# the shipped block
+PAIR_BLOCKS = (3, 40, stc._PAIR_BLOCK)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(("er", "planted", "hub")), st.integers(0, 10**6),
+       st.sampled_from(PAIR_BLOCKS))
+def test_gallai_build_and_start_are_the_former_ones(kind, seed, block):
+    # same CSR as the stable sort (so the scans visit arcs in the same
+    # order), same greedy mates and lookahead, same relaxation values
+    g = graph_of_kind(kind, seed)
+    csr = gallai_csr_by_stable_sort(g, DEFAULT_ARC_BUDGET)
+    with mock.patch.object(stc, "_PAIR_BLOCK", block):
+        assert stc._gallai_csr(g, DEFAULT_ARC_BUDGET) == csr
+        sol = solve_stc_lp(g)
+    assert stc._first_fit(*csr) == first_fit_by_slices(*csr)
+    with mock.patch.object(stc, "_gallai_csr", gallai_csr_by_stable_sort), \
+            mock.patch.object(stc, "_first_fit", first_fit_by_slices):
+        former = solve_stc_lp(g)
+    assert sol.values == former.values
+    assert sol.objective_half_units == former.objective_half_units
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(("er", "planted", "hub")), st.integers(0, 10**6),
+       st.sampled_from(PAIR_BLOCKS), st.floats(0.0, 1.0))
+def test_gallai_build_budget_errors_are_the_former_ones(kind, seed, block,
+                                                        share):
+    g = graph_of_kind(kind, seed)
+    arcs = 2 * g.m + len(gallai_csr_by_stable_sort(g, DEFAULT_ARC_BUDGET)[1])
+    budget = int(share * arcs)
+    try:
+        want = gallai_csr_by_stable_sort(g, budget)
+    except ArcBudgetError as exc:
+        want = ("needed", exc.needed)
+    with mock.patch.object(stc, "_PAIR_BLOCK", block):
+        try:
+            got = stc._gallai_csr(g, budget)
+        except ArcBudgetError as exc:
+            got = ("needed", exc.needed)
+    assert got == want
 
 
 class HandoverProbe:

@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import tracemalloc
+from unittest import mock
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -11,8 +14,10 @@ from clusterdel import (
     maximal_wedge_set_fast,
     pack_edge,
 )
+from clusterdel import wedges
 from helpers import (FastMatchCursor, disjoint_paths, edge_mask,
-                     iter_weak_pairs, triangle_count, wedge_set_lines)
+                     iter_weak_pairs, planted_clusters, triangle_count,
+                     wedge_set_lines)
 from oracles import maximal_wedge_set_simple, verify_wedge_set
 
 
@@ -186,3 +191,23 @@ def test_wedge_set_lines():
     g = Graph.from_edges(3, [(0, 1), (1, 2)])
     ws = maximal_wedge_set_fast(g)
     assert wedge_set_lines(ws) == ["0 2 1"]
+
+
+def matcher_peak_bytes(g: Graph, block: int) -> int:
+    with mock.patch.object(wedges, "_ROW_BLOCK", block):
+        tracemalloc.start()
+        try:
+            maximal_wedge_set_fast(g)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+
+def test_matcher_converts_rows_a_block_at_a_time():
+    # about 2.3 MB at the shipped block; converting _nbrs and _slot_eid to
+    # lists whole (a block of 2m slots) adds about 5.6 MB more
+    g = planted_clusters([10] * 900, 0.1, 2000, 5)
+    assert 35_000 < g.m < 45_000
+    bound = 4 * 2**20
+    assert matcher_peak_bytes(g, wedges._ROW_BLOCK) < bound
+    assert matcher_peak_bytes(g, 2 * g.m) > bound
