@@ -3,10 +3,15 @@
 pivot strategies, cluster merging and the whole mfp pipeline.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
-and the change in current resident memory in MiB.  Every row times its
-call with ``timed``: the seconds are the median of 5 calls, each after a
-garbage collection.  The memory change spans the first call, from just
-before it to just after it, except on the matcher and lp rows: their
+scaled seconds, and the change in current resident memory in MiB, to one
+decimal.  Every row times its call with ``timed``: the seconds are the
+median of 5 calls, each after a garbage collection.  The scaled seconds
+are that median at perfbench's reference speed: times ``REFERENCE_S``
+over the mean of perfbench's ``speed_probe``, taken in this process after
+each of the 5 calls, so they follow the machine's speed over the row and
+move less with its load between sweeps than the wall seconds do.  The
+memory change spans the first call, from just before it to just after
+it, so no probe falls inside it, except on the matcher and lp rows: their
 window opens before ``er_graph`` builds the graph, so it counts the graph
 (and, on lp rows, the open-wedge count) too.  On the million-edge matcher
 row the graph is nearly all of it.  The problem size is
@@ -26,7 +31,8 @@ memory.  Each launches ``clusterdel.cli`` as a child, run as ``python -m``
 runs it (``run``, ``run --algo stclp`` and ``lb``), on one benchmark input
 file, and the cli-import row a child that only imports
 ``clusterdel.cli``, the start-up every command pays.  Their seconds are
-wall time from launch to exit, the median of 5 children.  Their memory
+wall time from launch to exit, the median of 5 children, and the probes
+that scale them run in this process as each child exits.  Their memory
 column is not a change but the last child's own peak resident MiB: as it
 exits, each child writes its ``VmHWM`` from ``/proc/self/status`` to its
 standard error.  Where ``/proc`` is missing, the column falls back to the
@@ -90,6 +96,7 @@ from clusterdel import (  # noqa: E402
 )
 from clusterdel.pivoting import adjacency_lists, pivot_lists  # noqa: E402
 from inputs import ensure_inputs  # noqa: E402
+from run import REFERENCE_S, speed_probe  # noqa: E402
 from workloads import WORKLOADS  # noqa: E402
 
 MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
@@ -100,7 +107,8 @@ PIVOT_MERGE = [(2_000, 0.01), (5_000, 0.004)]
 BENCH_SEEDS = range(11, 16)
 # calls per timed row; a row's seconds are their median
 RUNS = 5
-CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "rss_delta_mib")
+CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "scaled_seconds",
+              "rss_delta_mib")
 # perfbench's input cache, shared so that each file is generated once
 CACHE_DIR = ROOT / ".perfbench_cache"
 # the cli rows' file is made from this perfbench seed
@@ -138,22 +146,26 @@ def rss_bytes() -> int:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss * 1024
 
 
-def row(stage: str, n: int, m: int, size: int, seconds: float,
-        delta: float) -> dict:
-    return dict(zip(CSV_FIELDS, (stage, n, m, size, round(seconds, 3),
-                                 round(delta))))
+def row(stage: str, n: int, m: int, size: int,
+        seconds: tuple[float, float], delta: float) -> dict:
+    """seconds: the (wall, scaled) pair that ``timed`` returns."""
+    wall, scaled = seconds
+    return dict(zip(CSV_FIELDS, (stage, n, m, size, round(wall, 3),
+                                 round(scaled, 3), round(delta, 1))))
 
 
 def csv_line(r: dict) -> str:
     return (f"{r['stage']},{r['n']},{r['m']},{r['size']},{r['seconds']:.3f},"
-            f"{r['rss_delta_mib']}")
+            f"{r['scaled_seconds']:.3f},{r['rss_delta_mib']:.1f}")
 
 
 def timed(fn, *args, before: int | None = None):
-    """(result of the last call, median wall seconds of RUNS calls, and
-    the resident-memory change in MiB over the first call).  The memory
-    window closes after the first call; it opens just before it, or at
-    ``before``, an earlier ``rss_bytes()`` reading, if one is given."""
+    """(result of the last call, (median wall seconds of RUNS calls, that
+    median at the reference speed), and the resident-memory change in MiB
+    over the first call).  The memory window closes after the first call;
+    it opens just before it, or at ``before``, an earlier ``rss_bytes()``
+    reading, if one is given.  A speed probe follows every call, after
+    the window has closed."""
     gc.collect()
     if before is None:
         before = rss_bytes()
@@ -161,13 +173,16 @@ def timed(fn, *args, before: int | None = None):
     out = fn(*args)
     seconds = [perf_counter() - t0]
     delta = (rss_bytes() - before) / 2**20
+    probes = [speed_probe()]
     for _ in range(RUNS - 1):
         out = None  # free the last result before the next call
         gc.collect()
         t0 = perf_counter()
         out = fn(*args)
         seconds.append(perf_counter() - t0)
-    return out, statistics.median(seconds), delta
+        probes.append(speed_probe())
+    wall = statistics.median(seconds)
+    return out, (wall, wall * REFERENCE_S / statistics.mean(probes)), delta
 
 
 def child_peak_mib(argv: list[str]) -> float:

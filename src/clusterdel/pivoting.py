@@ -33,12 +33,16 @@ degree) * n + id, for the top initial degree.  Once the top live degree
 is 0, it hands out the remaining live nodes in id order in one scan,
 which is the order its heap would pop them in.
 
-The ratio selector keeps every live node's exact key in a lazy min-heap.
-Removing a cluster changes (|B_k|, |N_k|) only for nodes within distance
-2 of it, so a round re-scores just those nodes: the live neighbours of
-the cluster and their live neighbours.  A node's score costs the sum of
-its live neighbours' degrees, so a round costs that sum over the dirty
-set instead of over every live node.
+The ratio selector keeps one exact int key per heap entry, r * n + id,
+where r is the node's ratio |B_k| / |N_k| floored at a scale fine enough
+that distinct ratios keep their order (see ``_RatioSelector``), so heapq
+compares ints in C and no float or Fraction is needed.  A node with no
+neighbours starts at ratio 0 without being scored.  Removing a cluster
+changes (|B_k|, |N_k|) only for nodes within distance 2 of it, so a round
+re-scores just those nodes: the live neighbours of the cluster and their
+live neighbours.  A node's score costs the sum of its live neighbours'
+degrees, so a round costs that sum over the dirty set instead of over
+every live node.
 
 The random selector draws an index into a list of candidates with
 ``randrange``'s own steps inlined (getrandbits of n.bit_length() bits,
@@ -165,47 +169,39 @@ class _DegreeSelector:
             heapq.heappush(heap, (top - live_deg[w]) * n + w)
 
 
-class _RatioKey:
-    """Exact ratio-strategy key (class, |B|/|N|, id) for heap ordering.
-
-    Class 1 holds the nodes whose ratio is +inf (|N| = 0 < |B|); a node
-    with |B| = |N| = 0 has ratio 0.  Ratios compare by cross-multiplying
-    integers, never as floats.
-    """
-
-    __slots__ = ("inf", "b", "nn", "v")
-
-    def __init__(self, b: int, nn: int, v: int):
-        self.inf = nn == 0 and b > 0
-        if nn == 0:
-            b, nn = 0, 1
-        self.b = b
-        self.nn = nn
-        self.v = v
-
-    def __lt__(self, other: "_RatioKey") -> bool:
-        if self.inf != other.inf:
-            return other.inf
-        lhs = self.b * other.nn
-        rhs = other.b * self.nn
-        if lhs != rhs:
-            return lhs < rhs
-        return self.v < other.v
-
-
 class _RatioSelector:
-    """Lazy min-heap of ratio keys; a re-scored or removed node's older
-    entries go stale and are discarded at pop time."""
+    """Lazy min-heap of int keys r * n + id, which order as (ratio, id);
+    a re-scored or removed node's older entries go stale and are
+    discarded at pop time."""
 
     def __init__(self, adj: list[list[int]], alive: bytearray):
         self.adj = adj
         self.alive = alive
-        self.key = [self._score(v) for v in range(len(adj))]
-        self.heap = list(self.key)
+        self.n = n = len(adj)
+        top = max(map(len, adj), default=0)
+        # r = |B| * S // |N|, 0 for |B| = |N| = 0, and m * S + 1 for
+        # +inf (|N| = 0 < |B|), above every finite r since |B| <= m.
+        # |N| <= C(top, 2), so distinct ratios differ by at least
+        # 1 / (|N| * |N'|) >= 1 / S, their values at scale S by at least
+        # 1, and flooring keeps their order; equal ratios tie by id.
+        self.scale = scale = max(1, top * (top - 1) // 2) ** 2
+        self.inf = sum(map(len, adj)) // 2 * scale + 1
+        score = self._score
+        # a node with no neighbours has ratio 0
+        self.key = [score(v) if adj[v] else v for v in range(n)]
+        self.heap = self.key.copy()
         heapq.heapify(self.heap)
 
-    def _score(self, k: int) -> _RatioKey:
-        """Key of pivoting at k: (|B_k|, |N_k|) in the live graph."""
+    def key_of(self, b: int, nn: int, v: int) -> int:
+        """Heap key of node v with (|B|, |N|) = (b, nn)."""
+        if nn:
+            r = b * self.scale // nn
+        else:
+            r = self.inf if b else 0
+        return r * self.n + v
+
+    def _score(self, k: int) -> int:
+        """Key of pivoting at k: from (|B_k|, |N_k|) in the live graph."""
         adj = self.adj
         alive = self.alive
         members = [u for u in adj[k] if alive[u]]
@@ -220,30 +216,33 @@ class _RatioSelector:
                 else:
                     boundary += 1
         d = len(members)
-        return _RatioKey(boundary,
-                         d * (d - 1) // 2 - adjacent_inside_twice // 2, k)
+        return self.key_of(boundary,
+                           d * (d - 1) // 2 - adjacent_inside_twice // 2, k)
 
     def pop(self) -> int:
         alive = self.alive
         key = self.key
         heap = self.heap
+        n = self.n
         while True:
             top = heap[0]
-            if alive[top.v] and key[top.v] is top:
-                return top.v
+            v = top % n
+            if alive[v] and key[v] == top:
+                return v
             heapq.heappop(heap)
 
     def degrees_changed(self, touched: list[int]) -> None:
         adj = self.adj
         alive = self.alive
+        key = self.key
+        heap = self.heap
         near = set(touched)
         dirty = set(near)
         for w in near:
             dirty.update(u for u in adj[w] if alive[u])
         for v in dirty:
-            k = self._score(v)
-            self.key[v] = k
-            heapq.heappush(self.heap, k)
+            key[v] = k = self._score(v)
+            heapq.heappush(heap, k)
 
 
 class _RandomSelector:

@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
+from math import comb
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -14,8 +17,9 @@ from clusterdel import (
     er_graph,
     pivot,
 )
-from clusterdel.pivoting import _RandomSelector
-from helpers import cut_deletions
+from clusterdel.pivoting import (_RandomSelector, _RatioSelector,
+                                 adjacency_lists, pivot_lists)
+from helpers import cut_deletions, pivot_by_residual_graph
 
 
 def test_strategy_validation():
@@ -99,6 +103,112 @@ def test_random_draws_match_randrange(seed):
         assert ([selector.pop() for _ in range(25)]
                 == [rng.randrange(n) for _ in range(25)]), n
 
+
+
+def ratio_selector(delta: int, extra: int) -> _RatioSelector:
+    """The ratio selector of a star with delta leaves (nodes 0..delta)
+    and a path on extra more nodes: top degree delta, and
+    delta + extra - 1 edges for extra >= 1."""
+    edges = [(0, leaf) for leaf in range(1, delta + 1)]
+    edges += [(v, v + 1) for v in range(delta + 1, delta + extra)]
+    g = Graph.from_edges(delta + 1 + extra, edges)
+    adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
+    return _RatioSelector(adj, bytearray(b"\x01") * g.n)
+
+
+def exact_ratio_key(b: int, nn: int, v: int) -> tuple[int, Fraction, int]:
+    """(class, |B|/|N|, id): class 1 is +inf (|N| = 0 < |B|), and a node
+    with |B| = |N| = 0 has ratio 0."""
+    if nn:
+        return 0, Fraction(b, nn), v
+    return (1 if b else 0), Fraction(0), v
+
+
+@pytest.mark.parametrize("delta", [2, 3, 4, 5, 6])
+def test_ratio_int_keys_order_as_exact_keys(delta):
+    # every (|B|, |N|) a node can have, |B| <= m and |N| <= C(delta, 2),
+    # at the lowest, a middle and the highest id; sorted by exact key,
+    # consecutive int keys must rise where the exact keys rise and be
+    # equal where they are equal, which orders every pair as they do
+    sel = ratio_selector(delta, 6)
+    m = delta + 5
+    ids = (0, sel.n // 2, sel.n - 1)
+    items = sorted((exact_ratio_key(b, nn, v), sel.key_of(b, nn, v))
+                   for b in range(m + 1)
+                   for nn in range(comb(delta, 2) + 1) for v in ids)
+    for (exact_a, int_a), (exact_b, int_b) in zip(items, items[1:]):
+        assert (int_a < int_b) if exact_a < exact_b else (int_a == int_b)
+
+
+def test_ratio_int_keys_split_the_closest_ratios():
+    # a hub of degree 40: |N| <= C(40, 2) = 780, and 1/780 and 1/779
+    # differ by exactly 1 / (780 * 779), the smallest gap two ratios with
+    # such |N| can have
+    sel = ratio_selector(40, 3)
+    assert sel.scale == 780 ** 2
+    low, high = sel.key_of(1, 780, 41), sel.key_of(1, 779, 0)
+    assert low < high
+    # 388/779 < 389/780 with 389 * 779 - 388 * 780 = 1
+    assert sel.key_of(388, 779, 42) < sel.key_of(389, 780, 1)
+
+
+def test_ratio_int_keys_tie_equal_ratios_by_id():
+    sel = ratio_selector(4, 2)
+    assert sel.key_of(1, 2, 3) < sel.key_of(3, 6, 5)
+    assert sel.key_of(3, 6, 3) < sel.key_of(1, 2, 5)
+    assert sel.key_of(1, 2, 3) // sel.n == sel.key_of(3, 6, 5) // sel.n
+
+
+def test_ratio_int_keys_put_infinity_above_every_finite_ratio():
+    sel = ratio_selector(5, 4)
+    m = 8
+    top_finite = sel.key_of(m, 1, sel.n - 1)
+    assert sel.key_of(1, 0, 0) > top_finite
+    assert sel.key_of(m, 0, 0) > top_finite
+    assert sel.key_of(1, 0, 0) // sel.n == sel.inf
+
+
+def test_ratio_int_keys_zero_ratio_with_and_without_nonedges():
+    # 0/5 and |B| = |N| = 0 are both ratio 0, so the lower id comes first
+    sel = ratio_selector(5, 4)
+    assert sel.key_of(0, 5, 2) < sel.key_of(0, 0, 3)
+    assert sel.key_of(0, 0, 2) < sel.key_of(0, 5, 3)
+    assert sel.key_of(0, 5, 2) < sel.key_of(1, 10, 0)
+
+
+def test_isolated_nodes_start_at_ratio_zero():
+    g = Graph.from_edges(5, [(1, 2), (2, 3)])
+    adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
+    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n)
+    assert sel.key[0] == 0 and sel.key[4] == 4
+    assert sel.pop() == 0
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 10**6), st.integers(40, 55), st.integers(3, 12),
+       st.sampled_from([0.02, 0.05, 0.1]))
+def test_ratio_pivot_with_a_hub_matches_residual_scan(seed, hub_degree,
+                                                      isolated, p):
+    # a hub of degree >= 40 makes the key scale at least 780^2; isolated
+    # nodes sit between connected ones by id
+    rng = random.Random(seed)
+    n = hub_degree + isolated + rng.randint(1, 15)
+    hub = rng.randrange(1, n - 1)
+    lonely = set(rng.sample([v for v in range(1, n - 1) if v != hub],
+                            isolated))
+    connected = [v for v in range(n) if v not in lonely]
+    edges = [(hub, v) for v in rng.sample([v for v in connected if v != hub],
+                                          hub_degree)]
+    edges += [(a, b) for i, a in enumerate(connected)
+              for b in connected[i + 1:] if rng.random() < p]
+    g = Graph.from_edges(n, edges)
+    assert max(g.degree(v) for v in range(n)) >= 40
+    clustering, audit = pivot_lists(
+        adjacency_lists(g, np.ones(g.m, dtype=bool)), PivotStrategy.ratio())
+    assignment, clusters, per_iteration = pivot_by_residual_graph(g, "ratio")
+    assert clustering.assignment == assignment
+    assert clustering.clusters == clusters
+    assert audit.per_iteration == per_iteration
 
 def test_empty_graph():
     g = Graph.from_edges(0, [])
