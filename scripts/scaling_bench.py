@@ -11,7 +11,7 @@ over the mean of perfbench's ``speed_probe``, taken in this process after
 each of the 5 calls, so they follow the machine's speed over the row and
 move less with its load between sweeps than the wall seconds do.  The
 memory change spans the first call, from just before it to just after
-it, so no probe falls inside it, except on the matcher and lp rows: their
+it and before any probe, except on the matcher and lp rows: their
 window opens before ``er_graph`` builds the graph, so it counts the graph
 (and, on lp rows, the open-wedge count) too.  On the million-edge matcher
 row the graph is nearly all of it.  The problem size is
