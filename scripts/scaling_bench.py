@@ -18,13 +18,17 @@ row the graph is nearly all of it.  The problem size is
 the matched wedge count for the matcher and for mfp, edges plus open
 wedges for the LP, the number of edges kept after the strip for the
 adjacency and pivot rows, and the number of clusters fed to the merge.
-These rows strip and pivot as the mfp pipeline does: the adjacency row
-times ``adjacency_lists``, which reads the kept edges' lists off the
-input graph through the fast matcher's weak mask, and each pivot row
-times ``pivot_lists`` on those lists; the random pivot uses --seed, and
-the merge input is the degree-pivot clustering.  The mfp row times one
-whole match_flip_pivot call with the degree strategy: matcher, strip,
-pivot and scoring.
+The adjacency, pivot, merge and mfp rows run on the cli rows' benchmark
+file (below), a planted-cluster graph whose strip keeps much of it: 634
+of 1,416 edges in the quick sweep, 21,921 of 100,271 with --big.  (An
+ER graph at sweep size keeps almost none, so its pivot rows would time
+isolated nodes.)  These rows strip and pivot as the mfp pipeline does:
+the adjacency row times ``adjacency_lists``, which reads the kept edges'
+lists off the input graph through the fast matcher's weak mask, and
+each pivot row times ``pivot_lists`` on those lists; the random pivot
+uses --seed, and the merge input is the degree-pivot clustering.  The
+mfp row times one whole match_flip_pivot call with the degree strategy:
+matcher, strip, pivot and scoring.
 
 The cli rows come first, before any call in this process raises its
 memory.  Each launches ``clusterdel.cli`` as a child, run as ``python -m``
@@ -103,7 +107,6 @@ MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
 MATCHER_BIG = [(20_000, 0.005)]
 LP_SWEEP = [(30_000, 1.5 / 30_000), (100_000, 1.5 / 100_000)]
 LP_BIG = [(260_000, 1.5 / 260_000)]
-PIVOT_MERGE = [(2_000, 0.01), (5_000, 0.004)]
 BENCH_SEEDS = range(11, 16)
 # calls per timed row; a row's seconds are their median
 RUNS = 5
@@ -111,8 +114,8 @@ CSV_FIELDS = ("stage", "n", "m", "size", "seconds", "scaled_seconds",
               "rss_delta_mib")
 # perfbench's input cache, shared so that each file is generated once
 CACHE_DIR = ROOT / ".perfbench_cache"
-# the cli rows' file is made from this perfbench seed
-CLI_SEED = 11
+# the cli and pivot rows' file is made from this perfbench seed
+FILE_SEED = 11
 CLI_ROWS = (("cli-run", ["run"]),
             ("cli-run-stclp", ["run", "--algo", "stclp"]),
             ("cli-lb", ["lb"]))
@@ -207,9 +210,15 @@ def child_peak_mib(argv: list[str]) -> float:
     return usage.ru_maxrss / 1024
 
 
-def bench_cli(big: bool) -> list[dict]:
+def bench_file(big: bool) -> Path:
+    """The cli and pivot rows' input: the seed-11 file of the first
+    planted-lp graph, or with --big of the big-mfp graph."""
     spec = WORKLOADS["big-mfp" if big else "planted-lp"].specs[0]
-    path, = ensure_inputs(CACHE_DIR, [spec], CLI_SEED)
+    path, = ensure_inputs(CACHE_DIR, [spec], FILE_SEED)
+    return path
+
+
+def bench_cli(path: Path) -> list[dict]:
     peak, elapsed, _ = timed(child_peak_mib,
                              [sys.executable, "-c", CHILD_IMPORT])
     timings = [("cli-import", elapsed, peak)]
@@ -280,8 +289,8 @@ def bench_lp(n: int, p: float, seed: int) -> list[dict]:
     return [row("lp", g.n, g.m, size, elapsed, delta)]
 
 
-def bench_pivot_and_merge(n: int, p: float, seed: int) -> list[dict]:
-    g = er_graph(n, p, seed=seed)
+def bench_pivot_and_merge(path: Path, seed: int) -> list[dict]:
+    g = parse_file(path)
     keep = ~maximal_wedge_set_fast(g).weak_mask
     kept = int(np.count_nonzero(keep))
     adj, elapsed, delta = timed(adjacency_lists, g, keep)
@@ -369,11 +378,12 @@ def main(argv: list[str] | None = None) -> int:
                 for n, p in (MATCHER_BIG if args.big else [])]
     benches += [(bench_lp, n, p)
                 for n, p in LP_SWEEP + (LP_BIG if args.big else [])]
-    benches += [(bench_pivot_and_merge, n, p) for n, p in PIVOT_MERGE]
     print(",".join(CSV_FIELDS))
     rows = []
-    calls = [(bench_cli, args.big)]
+    path = bench_file(args.big)
+    calls = [(bench_cli, path)]
     calls += [(bench, n, p, args.seed) for bench, n, p in benches]
+    calls.append((bench_pivot_and_merge, path, args.seed))
     for bench, *bench_args in calls:
         for r in bench(*bench_args):
             print(csv_line(r), flush=True)

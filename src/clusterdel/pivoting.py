@@ -28,15 +28,13 @@ round: the pipelines read only its totals, and
 ``PivotAudit.per_iteration`` builds the tuples on each read.  All three
 strategies share the loop and differ only in their selector.
 
-The degree selector keeps one int key per heap entry, (top - live
-degree) * n + id, for the top initial degree.  Once the top live degree
-is 0, it hands out the remaining live nodes in id order in one scan,
-which is the order its heap would pop them in.
-
-The ratio selector keeps one exact int key per heap entry, r * n + id,
-where r is the node's ratio |B_k| / |N_k| floored at a scale fine enough
-that distinct ratios keep their order (see ``_RatioSelector``), so heapq
-compares ints in C and no float or Fraction is needed.  A node with no
+The degree and ratio selectors share one lazy min-heap of int keys
+(``_HeapSelector``), a node's rank times n plus its id, so heapq compares
+ints in C.  The degree rank is top - live degree, for the top initial
+degree; only nodes of positive live degree enter that heap, and the rest
+come last, in id order.  The ratio rank is the node's ratio |B_k| / |N_k|
+floored at a scale fine enough that distinct ratios keep their order (see
+``_RatioSelector``), so no float or Fraction is needed.  A node with no
 neighbours starts at ratio 0 without being scored.  Removing a cluster
 changes (|B_k|, |N_k|) only for nodes within distance 2 of it, so a round
 re-scores just those nodes: the live neighbours of the cluster and their
@@ -116,65 +114,72 @@ class PivotAudit:
         return list(zip(r[0::3], r[1::3], r[2::3]))
 
 
-class _DegreeSelector:
-    """Lazy min-heap of int keys (top - live degree) * n + id, which order
-    as (live degree descending, id ascending); entries go stale as degrees
-    drop and are discarded at pop time.
+class _HeapSelector:
+    """Lazy min-heap of int keys that end in the node id (key % n == id);
+    key[v] is node v's current key.  An entry is live while its node is
+    and it equals that key; re-keyed or removed nodes leave stale entries,
+    which are discarded at pop time.  Once the heap holds no live entry,
+    the live nodes it does not hold are handed out in id order."""
 
-    Once the top live degree is 0, no degree changes again and the heap
-    would pop the live nodes in id order, so the selector drops it and
-    scans them in one pass."""
-
-    def __init__(self, alive: bytearray, live_deg: list[int]):
+    def __init__(self, alive: bytearray, key: list[int], heap: list[int]):
         self.alive = alive
-        self.live_deg = live_deg
-        self.n = n = len(live_deg)
-        self.top = top = max(live_deg, default=0)
-        self.heap: list[int] | None = [(top - d) * n + v
-                                       for v, d in enumerate(live_deg)]
-        heapq.heapify(self.heap)
+        self.key = key
+        self.n = len(key)
+        heapq.heapify(heap)
+        self.heap = heap
         self.cursor = 0
 
     def pop(self) -> int:
         alive = self.alive
+        key = self.key
         heap = self.heap
-        if heap is not None:
-            live_deg = self.live_deg
-            n = self.n
-            top = self.top
-            while True:
-                key = heap[0]
-                v = key % n
-                if alive[v] and key == (top - live_deg[v]) * n + v:
-                    if live_deg[v]:
-                        return v
-                    # v has the lowest id among the live nodes, all of
-                    # live degree 0
-                    self.heap = None
-                    self.cursor = v
-                    return v
-                heapq.heappop(heap)
+        n = self.n
+        while heap:
+            top = heap[0]
+            v = top % n
+            if alive[v] and key[v] == top:
+                return v
+            heapq.heappop(heap)
         v = self.cursor
         while not alive[v]:
             v += 1
         self.cursor = v
         return v
 
+
+class _DegreeSelector(_HeapSelector):
+    """Keys (top - live degree) * n + id, for the top initial degree, which
+    order as (live degree descending, id ascending).  The heap holds only
+    nodes of positive live degree, so the nodes of live degree 0 come last,
+    in id order."""
+
+    def __init__(self, alive: bytearray, live_deg: list[int]):
+        self.live_deg = live_deg
+        n = len(live_deg)
+        self.top = top = max(live_deg, default=0)
+        key = [(top - d) * n + v for v, d in enumerate(live_deg)]
+        # the keys below top * n are those of positive live degree
+        super().__init__(alive, key, [k for k in key if k < top * n])
+
     def degrees_changed(self, touched: list[int]) -> None:
         live_deg = self.live_deg
+        key = self.key
         heap = self.heap
         n = self.n
         top = self.top
         for w in touched:
-            heapq.heappush(heap, (top - live_deg[w]) * n + w)
+            d = live_deg[w]
+            key[w] = k = (top - d) * n + w
+            if d:
+                heapq.heappush(heap, k)
 
 
-class _RatioSelector:
-    """Lazy min-heap of int keys r * n + id, which order as (ratio, id);
-    a re-scored or removed node's older entries go stale and are
-    discarded at pop time."""
+class _RatioSelector(_HeapSelector):
+    """Keys r * n + id, which order as (ratio, id).  Every node stays in
+    the heap: the nodes of ratio 0 tie by id whether isolated or not."""
 
     def __init__(self, adj: list[list[int]], alive: bytearray):
+        # _score reads adj, alive and n before the heap is built
         self.adj = adj
         self.alive = alive
         self.n = n = len(adj)
@@ -188,9 +193,8 @@ class _RatioSelector:
         self.inf = sum(map(len, adj)) // 2 * scale + 1
         score = self._score
         # a node with no neighbours has ratio 0
-        self.key = [score(v) if adj[v] else v for v in range(n)]
-        self.heap = self.key.copy()
-        heapq.heapify(self.heap)
+        key = [score(v) if adj[v] else v for v in range(n)]
+        super().__init__(alive, key, key.copy())
 
     def key_of(self, b: int, nn: int, v: int) -> int:
         """Heap key of node v with (|B|, |N|) = (b, nn)."""
@@ -218,18 +222,6 @@ class _RatioSelector:
         d = len(members)
         return self.key_of(boundary,
                            d * (d - 1) // 2 - adjacent_inside_twice // 2, k)
-
-    def pop(self) -> int:
-        alive = self.alive
-        key = self.key
-        heap = self.heap
-        n = self.n
-        while True:
-            top = heap[0]
-            v = top % n
-            if alive[v] and key[v] == top:
-                return v
-            heapq.heappop(heap)
 
     def degrees_changed(self, touched: list[int]) -> None:
         adj = self.adj

@@ -33,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph, InvariantError
+from .graph import _SHIFT, Graph, InvariantError
 
 DEFAULT_ARC_BUDGET = 5_000_000
 
@@ -79,9 +79,7 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
     the phases the matcher runs: on the big-mfp benchmark's seed-11
     relaxation, an unstable sort or heads in ascending order each took 3
     Pothen-Fan+ and 12 Hopcroft-Karp phases instead of 4 and 11, and ran
-    slower.  With two ``np.repeat`` calls per block of candidate pairs
-    instead of three, the build of the 8 planted-lp benchmark graphs of
-    seed 11 went from 1.46 to 1.04 ms a graph (best of 60, 2 vCPU)."""
+    slower."""
     m = g.m
     if 2 * m > arc_budget:
         raise ArcBudgetError(2 * m, arc_budget)
@@ -89,7 +87,7 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
         return [0], []
     indptr = g._indptr
     nbrs = g._nbrs
-    sorted_keys = np.sort((g._edge_u << 32) | g._edge_v)
+    sorted_keys = np.sort((g._edge_u << _SHIFT) | g._edge_v)
     # slot s of the CSR holds neighbour nbrs[s] of center row_of[s]
     deg = np.diff(indptr)
     row_of = np.repeat(np.arange(g.n, dtype=np.int64), deg)
@@ -113,7 +111,7 @@ def _gallai_csr(g: Graph, arc_budget: int) -> tuple[list[int], list[int]]:
         # pair t of slot s is (s, s + 1 + t - pairs of the block before s)
         shift = np.arange(s_lo + 1, s1 + 1) - (np.cumsum(counts) - counts)
         second = np.arange(total) + np.repeat(shift, counts)
-        pair_keys = (nbrs[first] << 32) | nbrs[second]
+        pair_keys = (nbrs[first] << _SHIFT) | nbrs[second]
         pos = np.minimum(np.searchsorted(sorted_keys, pair_keys), m - 1)
         is_open = sorted_keys[pos] != pair_keys
         found = int(np.count_nonzero(is_open))
@@ -147,9 +145,8 @@ def _first_fit(ptr: list[int], adj: list[int]
     first free right node.  Returns (left mates, right mates, look), where
     look[u] is the position past u's mate in adj, or its row end.
 
-    It walks each row by index, without a slice per row or a search for
-    the mate's position: on the 8 planted-lp benchmark graphs of seed 11
-    it went from 0.52 to 0.27 ms a graph (best of 60, 2 vCPU)."""
+    It walks each row by index: a slice per row and a search for the
+    mate's position took about twice as long."""
     n = len(ptr) - 1
     mate_l = [-1] * n
     mate_r = [-1] * n

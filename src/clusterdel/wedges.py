@@ -18,13 +18,11 @@ the bound they certify always counts a maximal set of their own graph.
 On small graphs most centers match little, so the matcher keeps its set-up
 per center small.  It visits only the centers of degree >= 2, found with
 one numpy call.  It reads their rows from Python lists converted one
-block of CSR slots at a time (``_ROW_BLOCK``); lists of the whole CSR
-raised the big-mfp benchmark's peak RSS from 59.5 to 67.7 MiB.  It
-counts the weak edges at each node, so a center sorts out weak lower
-edges only when its count is not zero.  And it slices each sweep's skip
-list off one chain built in advance.  One pass over the 12 planted-pivot
-benchmark graphs of seeds 11-13 (about 600 edges each) went from 10.0 to
-7.1 ms (best of 200, 2 vCPU).
+block of CSR slots at a time (``_ROW_BLOCK``), since lists of the whole
+CSR raise the peak RSS and are no faster.  It counts the weak edges at
+each node, so a center sorts out weak lower edges only when its count is
+not zero.  And it slices each sweep's skip list off one chain built in
+advance.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import Graph
+from .graph import _SHIFT, Graph
 
 # CSR slots the matcher converts to Python lists at a time, from the start
 # of a row (a longer row is converted whole).  Bounds the lists it holds,
@@ -106,6 +104,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     slot_eid = g._slot_eid
     edge_keys = g._edge_keys
     block = _ROW_BLOCK
+    shift = _SHIFT
     deg = np.diff(indptr)
     centers = np.flatnonzero(deg >= 2)
     starts = indptr[centers]
@@ -138,7 +137,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
         i = 0
         while True:
             u = live[i]
-            ubase = u << 32
+            ubase = u << shift
             jp = i
             j = nxt[i]
             if j < 0:

@@ -184,13 +184,16 @@ def test_isolated_nodes_start_at_ratio_zero():
     assert sel.pop() == 0
 
 
+@pytest.mark.parametrize("kind", ["degree", "ratio"])
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 10**6), st.integers(40, 55), st.integers(3, 12),
        st.sampled_from([0.02, 0.05, 0.1]))
-def test_ratio_pivot_with_a_hub_matches_residual_scan(seed, hub_degree,
-                                                      isolated, p):
-    # a hub of degree >= 40 makes the key scale at least 780^2; isolated
-    # nodes sit between connected ones by id
+def test_pivot_with_a_hub_matches_residual_scan(kind, seed, hub_degree,
+                                                isolated, p):
+    # a hub of degree >= 40 makes the ratio key scale at least 780^2;
+    # isolated nodes sit between connected ones by id, and the degree heap
+    # leaves them, and every node whose live degree drops to 0, to its
+    # cursor
     rng = random.Random(seed)
     n = hub_degree + isolated + rng.randint(1, 15)
     hub = rng.randrange(1, n - 1)
@@ -204,11 +207,12 @@ def test_ratio_pivot_with_a_hub_matches_residual_scan(seed, hub_degree,
     g = Graph.from_edges(n, edges)
     assert max(g.degree(v) for v in range(n)) >= 40
     clustering, audit = pivot_lists(
-        adjacency_lists(g, np.ones(g.m, dtype=bool)), PivotStrategy.ratio())
-    assignment, clusters, per_iteration = pivot_by_residual_graph(g, "ratio")
+        adjacency_lists(g, np.ones(g.m, dtype=bool)), PivotStrategy(kind))
+    assignment, clusters, per_iteration = pivot_by_residual_graph(g, kind)
     assert clustering.assignment == assignment
     assert clustering.clusters == clusters
     assert audit.per_iteration == per_iteration
+
 
 def test_empty_graph():
     g = Graph.from_edges(0, [])
