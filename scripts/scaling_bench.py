@@ -2,9 +2,9 @@
 """Scaling benchmark for the fast matcher, the combinatorial LP, the
 pivot strategies, cluster merging and the whole mfp pipeline.
 
-Prints one CSV row per instance: stage, n, m, problem size, wall seconds,
-scaled seconds, and the change in current resident memory in MiB, to one
-decimal.  Every row times its call with ``timed``: the seconds are the
+Prints one CSV row per instance: stage, n, m, problem size, wall seconds
+and scaled seconds, both to six decimals, and the change in current
+resident memory in MiB, to one decimal.  Every row times its call with ``timed``: the seconds are the
 median of 5 calls, each after a garbage collection.  The scaled seconds
 are that median at perfbench's reference speed: times ``REFERENCE_S``
 over the mean of perfbench's ``speed_probe``, taken in this process after
@@ -28,7 +28,9 @@ lists off the input graph through the fast matcher's weak mask, and
 each pivot row times ``pivot_lists`` on those lists; the random pivot
 uses --seed, and the merge input is the degree-pivot clustering.  The
 mfp row times one whole match_flip_pivot call with the degree strategy:
-matcher, strip, pivot and scoring.
+matcher, strip, pivot and scoring.  Pipeline calls on one graph share its
+memoized lower bound, so each of the row's calls gets its own freshly
+parsed graph, parsed before the call's timing and memory windows open.
 
 The cli rows come first, before any call in this process raises its
 memory.  Each launches ``clusterdel.cli`` as a child, run as ``python -m``
@@ -153,36 +155,39 @@ def row(stage: str, n: int, m: int, size: int,
         seconds: tuple[float, float], delta: float) -> dict:
     """seconds: the (wall, scaled) pair that ``timed`` returns."""
     wall, scaled = seconds
-    return dict(zip(CSV_FIELDS, (stage, n, m, size, round(wall, 3),
-                                 round(scaled, 3), round(delta, 1))))
+    return dict(zip(CSV_FIELDS, (stage, n, m, size, round(wall, 6),
+                                 round(scaled, 6), round(delta, 1))))
 
 
 def csv_line(r: dict) -> str:
-    return (f"{r['stage']},{r['n']},{r['m']},{r['size']},{r['seconds']:.3f},"
-            f"{r['scaled_seconds']:.3f},{r['rss_delta_mib']:.1f}")
+    return (f"{r['stage']},{r['n']},{r['m']},{r['size']},{r['seconds']:.6f},"
+            f"{r['scaled_seconds']:.6f},{r['rss_delta_mib']:.1f}")
 
 
-def timed(fn, *args, before: int | None = None):
+def timed(fn, *args, before: int | None = None, fresh=None):
     """(result of the last call, (median wall seconds of RUNS calls, that
     median at the reference speed), and the resident-memory change in MiB
     over the first call).  The memory window closes after the first call;
     it opens just before it, or at ``before``, an earlier ``rss_bytes()``
     reading, if one is given.  A speed probe follows every call, after
-    the window has closed."""
-    gc.collect()
-    if before is None:
-        before = rss_bytes()
-    t0 = perf_counter()
-    out = fn(*args)
-    seconds = [perf_counter() - t0]
-    delta = (rss_bytes() - before) / 2**20
-    probes = [speed_probe()]
-    for _ in range(RUNS - 1):
+    the window has closed.  With ``fresh``, a function of no arguments,
+    each call's arguments are ``fresh()`` instead of args, made before
+    the call's collection and outside both windows."""
+    seconds, probes = [], []
+    out = None
+    for i in range(RUNS):
         out = None  # free the last result before the next call
+        if fresh is not None:
+            args = None
+            args = fresh()
         gc.collect()
+        if before is None:
+            before = rss_bytes()
         t0 = perf_counter()
         out = fn(*args)
         seconds.append(perf_counter() - t0)
+        if i == 0:
+            delta = (rss_bytes() - before) / 2**20
         probes.append(speed_probe())
     wall = statistics.median(seconds)
     return out, (wall, wall * REFERENCE_S / statistics.mean(probes)), delta
@@ -304,7 +309,9 @@ def bench_pivot_and_merge(path: Path, seed: int) -> list[dict]:
     _, elapsed, delta = timed(merge_clusters, g, clustering)
     rows.append(row("merge", g.n, g.m, clustering.num_clusters, elapsed,
                     delta))
-    res, elapsed, delta = timed(match_flip_pivot, g, PivotStrategy.degree())
+    res, elapsed, delta = timed(
+        match_flip_pivot,
+        fresh=lambda: (parse_file(path), PivotStrategy.degree()))
     rows.append(row("mfp", g.n, g.m, res.wedges, elapsed, delta))
     return rows
 

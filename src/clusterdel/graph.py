@@ -50,11 +50,13 @@ class Graph:
     """Immutable undirected simple graph with sorted CSR adjacency.
 
     ``labels`` maps internal id -> original label; it is None for graphs
-    whose nodes are already dense ints.
+    whose nodes are already dense ints.  ``_bounds`` is the pipelines'
+    memo of the graph's certified lower bounds, filled only by
+    ``pipelines._prepare``; it never changes what the graph is.
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_slot_eid",
-                 "_edge_u", "_edge_v", "_edge_keys")
+                 "_edge_u", "_edge_v", "_edge_keys", "_bounds")
 
     def __init__(self, n: int, edge_keys: dict[int, None],
                  labels: list[int] | None = None):
@@ -65,6 +67,7 @@ class Graph:
         self.m = len(edge_keys)
         self.labels = labels
         self._edge_keys = edge_keys
+        self._bounds = {}
         keys = np.fromiter(edge_keys, dtype=np.int64, count=self.m)
         self._edge_u = keys >> _SHIFT
         self._edge_v = keys & _MASK

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
 import json
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from clusterdel import (
     ArcBudgetError,
@@ -19,12 +22,15 @@ from clusterdel import (
     match_flip_pivot,
     maximal_wedge_set_fast,
     merge_clusters,
+    parse_edge_list,
+    serialize_edge_list,
     solve_stc_lp,
     stc_lp_round,
     tight_instance,
 )
 from clusterdel import WedgeSet, pipelines
-from helpers import clusters_are_cliques, cut_deletions
+from clusterdel.stc import DEFAULT_ARC_BUDGET
+from helpers import clusters_are_cliques, cut_deletions, planted_clusters
 from oracles import (maximal_wedge_set_simple, mfp_with_wedge_set,
                      tight_wedge_set)
 
@@ -380,3 +386,149 @@ def test_apply_merge_rejects_more_deletions(monkeypatch):
                             list(range(4)), [[v] for v in range(4)]))
     with pytest.raises(InvariantError, match="merge increased"):
         apply_merge(g, res)
+
+
+# Every pipeline call a graph's memoized bound serves, each a function of
+# the graph alone; the apply_merge calls merge a result of the same graph.
+SHARED_BOUND_CALLS = [
+    *(lambda g, s=s, p=p: p(g, s)
+      for p in (match_flip_pivot, stc_lp_round)
+      for s in (PivotStrategy.degree(), PivotStrategy.ratio(),
+                PivotStrategy.random(7))),
+    lambda g: best_of_random(g, 3, 5)[0],
+    lambda g: best_of_random(g, 3, 5, algorithm="stclp")[0],
+    lambda g: apply_merge(g, match_flip_pivot(g, PivotStrategy.degree())),
+    lambda g: apply_merge(g, stc_lp_round(g, PivotStrategy.ratio())),
+    lambda g: apply_merge(g, best_of_random(g, 2, 9, algorithm="stclp")[0]),
+]
+
+
+def _outputs(res) -> tuple:
+    d = res.to_json_dict()
+    del d["runtime_ms"]
+    return (d, res.clustering.assignment, res.clustering.clusters,
+            res.audit.rounds)
+
+
+def assert_shared_bound_changes_nothing(g: Graph) -> None:
+    text = serialize_edge_list(g)
+    served = parse_edge_list(text)
+    for call in SHARED_BOUND_CALLS:
+        call(served)
+    assert set(served._bounds) == {"mfp", ("stclp", DEFAULT_ARC_BUDGET)}
+    for call in SHARED_BOUND_CALLS:
+        assert _outputs(call(served)) == _outputs(call(parse_edge_list(text)))
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_shared_bound_on_planted_graphs(seed):
+    sizes = [3 + (seed + i) % 6 for i in range(6 + 2 * seed)]
+    assert_shared_bound_changes_nothing(
+        planted_clusters(sizes, 0.1 * (seed % 3), 4 * seed + 3, seed))
+
+
+@st.composite
+def graphs(draw) -> Graph:
+    n = draw(st.integers(0, 16))
+    density = draw(st.sampled_from([0.1, 0.3, 0.6, 0.9]))
+    rng = draw(st.randoms(use_true_random=False))
+    return Graph.from_edges(n, [(u, v) for u in range(n)
+                                for v in range(u + 1, n)
+                                if rng.random() < density])
+
+
+@settings(max_examples=40, deadline=None)
+@given(graphs())
+def test_shared_bound_on_random_graphs(g):
+    assert_shared_bound_changes_nothing(g)
+
+
+def _count_calls(monkeypatch, name: str) -> list:
+    real, calls = getattr(pipelines, name), []
+
+    def counted(g, *args):
+        calls.append(g)
+        return real(g, *args)
+
+    monkeypatch.setattr(pipelines, name, counted)
+    return calls
+
+
+def test_one_matcher_run_per_graph(monkeypatch):
+    calls = _count_calls(monkeypatch, "maximal_wedge_set_fast")
+    g, other = (planted_clusters([4, 5, 6, 7], 0.2, 12, seed)
+                for seed in (1, 2))
+    match_flip_pivot(g, PivotStrategy.degree())
+    match_flip_pivot(g, PivotStrategy.ratio())
+    best, _ = best_of_random(g, 3)
+    assert best.wedges > 0
+    assert calls == [g]
+    apply_merge(g, best)
+    best_of_random(other, 3)
+    match_flip_pivot(other, PivotStrategy.degree())
+    assert calls == [g, other]
+
+
+def test_one_relaxation_per_graph_and_budget(monkeypatch):
+    calls = _count_calls(monkeypatch, "solve_stc_lp")
+    g, other = (planted_clusters([4, 5, 6, 7], 0.2, 12, seed)
+                for seed in (1, 2))
+    stc_lp_round(g, PivotStrategy.degree())
+    stc_lp_round(g, PivotStrategy.ratio())
+    best_of_random(g, 3, algorithm="stclp")
+    assert calls == [g]
+    big = 10 * DEFAULT_ARC_BUDGET
+    stc_lp_round(g, PivotStrategy.degree(), arc_budget=big)
+    best_of_random(g, 2, algorithm="stclp", arc_budget=big)
+    stc_lp_round(other, PivotStrategy.degree())
+    stc_lp_round(g, PivotStrategy.random(4))
+    assert calls == [g, g, other]
+    # the matcher's bound is memoized apart from the relaxation's
+    match_flip_pivot(g, PivotStrategy.degree())
+    assert calls == [g, g, other]
+    assert set(g._bounds) == {"mfp", ("stclp", DEFAULT_ARC_BUDGET),
+                              ("stclp", big)}
+
+
+def _budget_error(g, budget, trials=None):
+    with pytest.raises(ArcBudgetError) as info:
+        if trials is None:
+            stc_lp_round(g, PivotStrategy.degree(), arc_budget=budget)
+        else:
+            best_of_random(g, trials, algorithm="stclp", arc_budget=budget)
+    return str(info.value), info.value.needed
+
+
+@pytest.mark.parametrize("trials", [None, 3])
+def test_a_tripped_budget_is_never_memoized(trials):
+    g = er_graph(20, 0.4, seed=5)
+    budget = 2 * g.m + 2
+    before = _budget_error(g, budget, trials)
+    assert g._bounds == {}
+    stc_lp_round(g, PivotStrategy.degree())
+    assert list(g._bounds) == [("stclp", DEFAULT_ARC_BUDGET)]
+    assert _budget_error(g, budget, trials) == before
+    assert list(g._bounds) == [("stclp", DEFAULT_ARC_BUDGET)]
+
+
+@pytest.mark.parametrize("pipeline", [match_flip_pivot, stc_lp_round])
+def test_certificate_arrays_are_read_only(pipeline):
+    g = er_graph(30, 0.2, seed=4)
+    for res in (pipeline(g, PivotStrategy.degree()),
+                pipeline(g, PivotStrategy.ratio())):
+        cert = res.certificate
+        with pytest.raises(ValueError, match="read-only"):
+            cert.weak_mask[0] = not cert.weak_mask[0]
+        if cert.values is not None:
+            with pytest.raises(ValueError, match="read-only"):
+                cert.values[0] = 2
+
+
+@pytest.mark.parametrize("call", SHARED_BOUND_CALLS)
+def test_a_dropped_result_leaves_no_reference_to_the_graph(call):
+    g = er_graph(30, 0.2, seed=4)
+    refs = sys.getrefcount(g)
+    call(g)
+    assert sys.getrefcount(g) == refs
+    call(g)  # reusing the memoized bound
+    assert sys.getrefcount(g) == refs
