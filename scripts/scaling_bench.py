@@ -4,12 +4,13 @@ pivot strategies, cluster merging and the whole mfp pipeline.
 
 Prints one CSV row per instance: stage, n, m, problem size, wall seconds
 and scaled seconds, both to six decimals, and the change in current
-resident memory in MiB, to one decimal.  Every row times its call with ``timed``: the seconds are the
-median of 5 calls, each after a garbage collection.  The scaled seconds
-are that median at perfbench's reference speed: times ``REFERENCE_S``
-over the mean of perfbench's ``speed_probe``, taken in this process after
-each of the 5 calls, so they follow the machine's speed over the row and
-move less with its load between sweeps than the wall seconds do.  The
+resident memory in MiB, to one decimal.  Every row times its call with
+``timed``: the seconds are the median of 5 calls, each after a garbage
+collection.  The scaled seconds are that median at perfbench's reference
+speed: times ``REFERENCE_S`` over the mean of perfbench's
+``speed_probe``, taken in this process after each of the 5 calls, so
+they follow the machine's speed over the row and move less with its load
+between sweeps than the wall seconds do.  The
 memory change spans the first call, from just before it to just after
 it and before any probe, except on the matcher and lp rows: their
 window opens before ``er_graph`` builds the graph, so it counts the graph
@@ -174,11 +175,10 @@ def timed(fn, *args, before: int | None = None, fresh=None):
     each call's arguments are ``fresh()`` instead of args, made before
     the call's collection and outside both windows."""
     seconds, probes = [], []
-    out = None
     for i in range(RUNS):
         out = None  # free the last result before the next call
         if fresh is not None:
-            args = None
+            args = None  # and its graph before the next is parsed
             args = fresh()
         gc.collect()
         if before is None:
