@@ -19,19 +19,24 @@ row the graph is nearly all of it.  The problem size is
 the matched wedge count for the matcher and for mfp, edges plus open
 wedges for the LP, the number of edges kept after the strip for the
 adjacency and pivot rows, and the number of clusters fed to the merge.
-The adjacency, pivot, merge and mfp rows run on the cli rows' benchmark
-file (below), a planted-cluster graph whose strip keeps much of it: 634
-of 1,416 edges in the quick sweep, 21,921 of 100,271 with --big.  (An
-ER graph at sweep size keeps almost none, so its pivot rows would time
-isolated nodes.)  These rows strip and pivot as the mfp pipeline does:
+The adjacency, pivot, merge, mfp and calls rows run on the cli rows'
+benchmark file (below), a planted-cluster graph whose strip keeps much
+of it: 634 of 1,416 edges in the quick sweep, 21,921 of 100,271 with
+--big.  (An ER graph at sweep size keeps almost none, so its pivot rows
+would time isolated nodes.)  These rows strip and pivot as the mfp pipeline does:
 the adjacency row times ``adjacency_lists``, which reads the kept edges'
 lists off the input graph through the fast matcher's weak mask, and
 each pivot row times ``pivot_lists`` on those lists; the random pivot
 uses --seed, and the merge input is the degree-pivot clustering.  The
 mfp row times one whole match_flip_pivot call with the degree strategy:
 matcher, strip, pivot and scoring.  Pipeline calls on one graph share its
-memoized lower bound, so each of the row's calls gets its own freshly
-parsed graph, parsed before the call's timing and memory windows open.
+memoized lower bound and stripped lists, so each of the row's calls gets
+its own freshly parsed graph, parsed before the call's timing and memory
+windows open.  The calls row shows that sharing: each of its timed runs
+makes the ``big-mfp`` round's pipeline calls on one freshly parsed graph,
+a degree match_flip_pivot and then best-of-2 random pivots (seeds from
+perfbench's ``RANDOM_BASE_SEED``), the second reusing the first's bound
+and lists; its problem size is the matched wedge count.
 
 The cli rows come first, before any call in this process raises its
 memory.  Each launches ``clusterdel.cli`` as a child, run as ``python -m``
@@ -93,6 +98,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 
 from clusterdel import (  # noqa: E402
     PivotStrategy,
+    best_of_random,
     er_graph,
     match_flip_pivot,
     maximal_wedge_set_fast,
@@ -104,7 +110,7 @@ from clusterdel import (  # noqa: E402
 from clusterdel.pivoting import adjacency_lists, pivot_lists  # noqa: E402
 from inputs import ensure_inputs  # noqa: E402
 from run import REFERENCE_S, speed_probe  # noqa: E402
-from workloads import WORKLOADS  # noqa: E402
+from workloads import RANDOM_BASE_SEED, WORKLOADS  # noqa: E402
 
 MATCHER_SWEEP = [(2_000, 0.01), (5_000, 0.008), (10_000, 0.006)]
 MATCHER_BIG = [(20_000, 0.005)]
@@ -313,7 +319,17 @@ def bench_pivot_and_merge(path: Path, seed: int) -> list[dict]:
         match_flip_pivot,
         fresh=lambda: (parse_file(path), PivotStrategy.degree()))
     rows.append(row("mfp", g.n, g.m, res.wedges, elapsed, delta))
+    res, elapsed, delta = timed(round_calls,
+                                fresh=lambda: (parse_file(path),))
+    rows.append(row("calls", g.n, g.m, res.wedges, elapsed, delta))
     return rows
+
+
+def round_calls(g):
+    """The big-mfp round's pipeline calls on g: a degree match_flip_pivot,
+    then best-of-2 random pivots; returns the best random result."""
+    match_flip_pivot(g, PivotStrategy.degree())
+    return best_of_random(g, 2, RANDOM_BASE_SEED)[0]
 
 
 def git(*args: str) -> str:

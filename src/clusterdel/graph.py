@@ -11,9 +11,13 @@ first-appearance order; original labels are kept so clusterings can be
 written back in terms of the input file.  An edge's id is its position
 0..m-1 in first-appearance order, which indexes per-edge arrays such as
 relaxation values and weak masks; each CSR slot records the id of its
-edge.  A graph is built from its key index, a dict of packed endpoint
-pairs in edge-id order, which it keeps to answer membership for the
-wedge matcher and ``has_edge``.
+edge.  A graph is built from its endpoint arrays in edge-id order, as the
+parser reads them.  It keeps a key index, the set of its edges' compact
+keys ``lo * base + hi`` for ``base = n | 1``, to answer membership for
+the wedge matcher and ``has_edge``.  An odd base spreads both endpoints
+over a key's low bits, where set slots are chosen, and below 32,768
+nodes every key is a one-digit int.  Outside the graph, edges are named
+by packed keys (``pack_edge``), which do not depend on n.
 """
 
 from __future__ import annotations
@@ -26,12 +30,15 @@ from typing import Iterable, Iterator
 import numpy as np
 
 _SHIFT = 32
-_MASK = (1 << _SHIFT) - 1
 
 
 def pack_edge(u: int, v: int) -> int:
     """Canonical integer key for the unordered pair {u, v}."""
     return (u << _SHIFT) | v if u < v else (v << _SHIFT) | u
+
+
+def _int64(values: list[int]) -> np.ndarray:
+    return np.array(values, dtype=np.int64)
 
 
 class EdgeListParseError(ValueError):
@@ -50,31 +57,39 @@ class Graph:
     """Immutable undirected simple graph with sorted CSR adjacency.
 
     ``labels`` maps internal id -> original label; it is None for graphs
-    whose nodes are already dense ints.  ``_bounds`` is the pipelines'
-    memo of the graph's certified lower bounds, filled only by
-    ``pipelines._prepare``; it never changes what the graph is.
+    whose nodes are already dense ints.  ``_edge_keys`` is the key index,
+    the set of the edges' compact keys ``lo * _base + hi``.  ``_bounds``
+    is the pipelines' memo of the graph's certified lower bounds and
+    stripped adjacency lists, filled only by ``pipelines._prepare``; it
+    never changes what the graph is.
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_slot_eid",
-                 "_edge_u", "_edge_v", "_edge_keys", "_bounds")
+                 "_edge_u", "_edge_v", "_base", "_edge_keys", "_bounds")
 
-    def __init__(self, n: int, edge_keys: dict[int, None],
+    def __init__(self, n: int, edge_u: np.ndarray, edge_v: np.ndarray,
                  labels: list[int] | None = None):
-        # edge_keys holds each edge's packed key (canonical, self-loop
-        # free), in edge-id order; the graph takes ownership of it as its
-        # key index.  Use from_edges/parse_edge_list.
+        # edge_u, edge_v: int64 endpoint arrays in edge-id order, with
+        # edge_u < edge_v < n, a repeated edge keeping its first position;
+        # the graph takes ownership of them.  Use from_edges/parse_edge_list.
         self.n = n
-        self.m = len(edge_keys)
         self.labels = labels
-        self._edge_keys = edge_keys
         self._bounds = {}
-        keys = np.fromiter(edge_keys, dtype=np.int64, count=self.m)
-        self._edge_u = keys >> _SHIFT
-        self._edge_v = keys & _MASK
+        self._base = base = n | 1
+        keys = edge_u * base + edge_v
+        self._edge_keys = set(keys.tolist())
+        if len(self._edge_keys) < len(keys):
+            # np.unique returns the first position of each distinct key
+            first = np.unique(keys, return_index=True)[1]
+            first.sort()
+            edge_u, edge_v = edge_u[first], edge_v[first]
+        self.m = len(self._edge_keys)
+        self._edge_u = edge_u
+        self._edge_v = edge_v
         self._indptr = np.zeros(n + 1, dtype=np.int64)
         if self.m:
-            rows = np.concatenate([self._edge_u, self._edge_v])
-            cols = np.concatenate([self._edge_v, self._edge_u])
+            rows = np.concatenate([edge_u, edge_v])
+            cols = np.concatenate([edge_v, edge_u])
             # the (row, col) slot keys are distinct, so one argsort of
             # them orders the slots as a lexsort by row then col would
             order = np.argsort((rows << _SHIFT) | cols)
@@ -94,14 +109,15 @@ class Graph:
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
         """Build a graph on nodes 0..n-1; drops self-loops and duplicates."""
-        seen: dict[int, None] = {}
+        lo: list[int] = []
+        hi: list[int] = []
         for u, v in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge ({u}, {v}) out of range for n={n}")
-            if u == v:
-                continue
-            seen[pack_edge(u, v)] = None
-        return cls(n, seen)
+            if u != v:
+                lo.append(min(u, v))
+                hi.append(max(u, v))
+        return cls(n, _int64(lo), _int64(hi))
 
     def neighbors(self, v: int) -> np.ndarray:
         """Sorted array of neighbor ids (a read-only view)."""
@@ -111,9 +127,11 @@ class Graph:
         return int(self._indptr[v + 1] - self._indptr[v])
 
     def has_edge(self, u: int, v: int) -> bool:
-        if u == v:
+        # out of range, a compact key would name some other pair
+        if not (0 <= u < self.n and 0 <= v < self.n):
             return False
-        return pack_edge(u, v) in self._edge_keys
+        key = u * self._base + v if u < v else v * self._base + u
+        return key in self._edge_keys
 
     def edges(self) -> Iterator[tuple[int, int]]:
         """Edges as (u, v) with u < v, in edge-id order."""
@@ -127,8 +145,11 @@ class Graph:
 
     def drop_edges(self, packed_keys: set[int]) -> "Graph":
         """Copy of the graph without the given edges (packed keys)."""
-        return Graph(self.n, {key: None for key in self._edge_keys
-                              if key not in packed_keys}, self.labels)
+        keep = np.fromiter((key not in packed_keys
+                            for key in self.packed_edges()),
+                           dtype=bool, count=self.m)
+        return Graph(self.n, self._edge_u[keep], self._edge_v[keep],
+                     self.labels)
 
     def masked_keys(self, mask: np.ndarray) -> set[int]:
         """Packed keys of the edges marked in mask, a boolean array over
@@ -255,14 +276,13 @@ def _plain(text: str) -> str | None:
 def _parse_plain(text: str) -> Graph:
     """The graph of a plain text without comments, in bulk."""
     if not text or text.isspace():  # fromstring would read blanks as [0]
-        return Graph(0, {}, [])
+        return Graph(0, _int64([]), _int64([]), [])
     labels, ids = _first_appearance_ids(
         np.fromstring(text, dtype=np.int64, sep=" "))
     a, b = ids[0::2], ids[1::2]
     lo, hi = np.minimum(a, b), np.maximum(a, b)
-    keys = ((lo << _SHIFT) | hi)[lo != hi]
-    # the dict keeps each edge at its first appearance
-    return Graph(len(labels), dict.fromkeys(keys.tolist()), labels)
+    edge = lo != hi
+    return Graph(len(labels), lo[edge], hi[edge], labels)
 
 
 def _first_appearance_ids(tokens: np.ndarray) -> tuple[list[int],
@@ -289,8 +309,9 @@ def _parse_lines(lines: Iterable) -> Graph:
     """The graph of an iterable of str or bytes lines, one at a time."""
     id_map: dict[int, int] = {}
     labels: list[int] = []
-    # packed edge keys, in first-appearance order
-    seen: dict[int, None] = {}
+    # the ids of each line's two ends, for the lines that are not loops
+    ends_a: list[int] = []
+    ends_b: list[int] = []
     for lineno, raw in enumerate(lines, start=1):
         if isinstance(raw, bytes):
             raw = raw.decode("utf-8")
@@ -316,10 +337,11 @@ def _parse_lines(lines: Iterable) -> Graph:
         if ib is None:
             ib = id_map[b] = len(labels)
             labels.append(b)
-        if ia == ib:
-            continue
-        seen[(ia << _SHIFT) | ib if ia < ib else (ib << _SHIFT) | ia] = None
-    return Graph(len(labels), seen, labels)
+        if ia != ib:
+            ends_a.append(ia)
+            ends_b.append(ib)
+    a, b = _int64(ends_a), _int64(ends_b)
+    return Graph(len(labels), np.minimum(a, b), np.maximum(a, b), labels)
 
 
 def serialize_edge_list(g: Graph) -> str:

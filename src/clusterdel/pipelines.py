@@ -15,11 +15,12 @@ half-integral STC relaxation; half the relaxation value lower-bounds the
 optimum and deletions stay within 3x of it.
 
 The bound is the expensive stage, and every pipeline call on one graph
-shares it: the first call computes it (mfp, or stclp per arc budget) and
-memoizes it on the graph, and later calls, whatever their strategy,
-reuse it.  A call's ``runtime_ms["lower_bound"]`` is that call's own
-preparation time, the bound's lookup or computation plus the strip, so
-it is near 0 when the bound is reused.
+shares it: the first call computes it (mfp, or stclp per arc budget),
+strips its weak edges into adjacency lists, and memoizes both on the
+graph, and later calls, whatever their strategy, reuse them.  A call's
+``runtime_ms["lower_bound"]`` is that call's own preparation time, the
+lookup or the computation of the bound and the strip, so it is near 0
+when they are reused.
 """
 
 from __future__ import annotations
@@ -113,7 +114,8 @@ class CDResult:
 
 class _Bound(NamedTuple):
     """The fields of a Certificate that do not refer to its graph, as
-    memoized in ``Graph._bounds``; both arrays are read-only."""
+    memoized in ``Graph._bounds`` beside the stripped lists; both arrays
+    are read-only."""
 
     wedges: int | None
     lp_value_half_units: int | None
@@ -143,7 +145,7 @@ class _Preparation:
     """Stage 1, shared by every pivot run of one pipeline call: the
     certificate, the adjacency lists of the graph stripped of its weak
     edges, taken from the graph's CSR through the weak mask (each pivot
-    only reads them), and the milliseconds both took."""
+    only reads them), and the milliseconds the call took to get both."""
 
     cert: Certificate
     adj: list[list[int]]
@@ -152,10 +154,11 @@ class _Preparation:
 
 def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET
              ) -> _Preparation:
-    """The bound comes from g's memo, keyed "mfp" or ("stclp",
-    arc_budget), which holds no reference to g; a bound that fails (an
-    ArcBudgetError, say) is not memoized.  The certificate and the lists
-    are built anew on each call, so no Python list lives as long as g."""
+    """The bound and the stripped lists come from g's memo, keyed "mfp"
+    or ("stclp", arc_budget), which holds no reference to g; a bound that
+    fails (an ArcBudgetError, say) is not memoized.  The certificate is
+    built anew on each call.  The lists live as long as g, and every
+    pivot of every call on g reads the same ones."""
     t0 = perf_counter()
     if algorithm == "mfp":
         key = "mfp"
@@ -163,11 +166,12 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET
         key = ("stclp", arc_budget)
     else:
         raise ValueError(f"unknown algorithm {algorithm!r}")
-    bound = g._bounds.get(key)
-    if bound is None:
-        bound = g._bounds[key] = _lower_bound(g, algorithm, arc_budget)
+    memo = g._bounds.get(key)
+    if memo is None:
+        bound = _lower_bound(g, algorithm, arc_budget)
+        memo = g._bounds[key] = bound, adjacency_lists(g, ~bound.weak_mask)
+    bound, adj = memo
     cert = Certificate(algorithm, g, *bound)
-    adj = adjacency_lists(g, ~bound.weak_mask)
     return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
 
 
@@ -271,23 +275,32 @@ def merge_clusters(g: Graph, clustering: Clustering,
                    budget_ms: float | None = None) -> Clustering:
     """Greedily merge cluster pairs whose union is still a clique.
 
-    Each pass visits the clusters largest-first (ties by cluster id), and
+    A pass visits the clusters largest-first (ties by cluster id), and
     each visited cluster absorbs every later cluster it still can, in that
-    order.  Passes repeat until one makes no merge or a budget runs out;
-    budget_ms must be a non-negative number of milliseconds (inf means no
-    budget).  Deletions never increase, so stopping early is always safe.
+    order.  One pass runs, unless max_passes is 0 or less (no merge) or
+    the budget runs out; budget_ms must be a non-negative number of
+    milliseconds (inf means no budget).  Deletions never increase, so
+    stopping early is always safe.
 
     Call a pair of clusters complete when every pair of their members is
     an edge.  A cluster grows only during its own turn, so when a takes
     its turn, every later cluster is as the pass found it.  A later b can
     then join a, which has absorbed b1, b2, ... so far in this turn,
-    exactly when each of (a, b), (b1, b), (b2, b), ... is complete.  So a
-    pass starts with one numpy count of the cut edges per pair of
+    exactly when each of (a, b), (b1, b), (b2, b), ... is complete.
+
+    So the pass starts with one numpy count of the cut edges per pair of
     clusters, a pair being complete when its count is the product of the
-    two sizes, and only the complete pairs reach Python.  A pass costs
+    two sizes, and only the complete pairs reach Python.  The pass costs
     that count (a sort of the cut edges) plus, per complete pair, one set
-    lookup for each cluster absorbed earlier in the turn; the pass that
-    finds nothing to merge is the count alone.
+    lookup for each cluster absorbed earlier in the turn.
+
+    A second pass would merge nothing, so a max_passes above 1 runs one
+    pass too: a pass that the budget did not cut leaves no two survivors
+    that could merge.  Take survivors X, owned by a, and Y, owned by c,
+    with a visited before c, and suppose X and Y complete.  At a's turn,
+    c was live and as the pass found it, a part of Y, and all that a had
+    absorbed when it reached c lay in X.  So a and each cluster it had
+    absorbed were complete with c, and a would have absorbed c.
 
     clustering must partition g's nodes into non-empty clusters, as
     pivoting and merging do (ValueError otherwise).  Its assignment is
@@ -302,65 +315,51 @@ def merge_clusters(g: Graph, clustering: Clustering,
     if len(owner) != g.n or np.any((owner < 0) | (owner >= k0)):
         raise ValueError(f"assignment must give each of the {g.n} nodes a "
                          f"cluster id in [0, {k0})")
-    sizes = np.bincount(owner, minlength=k0).tolist()
-    if 0 in sizes:
-        raise ValueError(f"cluster {sizes.index(0)} is empty")
+    sizes = np.bincount(owner, minlength=k0)
+    if not sizes.all():
+        raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
     listed = list(map(len, clustering.clusters))
-    if sizes != listed:
+    if sizes.tolist() != listed:
         c = next(c for c in range(k0) if sizes[c] != listed[c])
         raise ValueError(f"cluster {c} lists {listed[c]} nodes, but the "
                          f"assignment gives it {sizes[c]}")
-    # the clusters at the two ends of each cut edge
-    ou, ov = owner[g._edge_u], owner[g._edge_v]
-    cut = ou != ov
-    ou, ov = ou[cut], ov[cut]
     alive = [True] * k0
-    root = list(range(k0))
-    deadline = (perf_counter() + budget_ms / 1000.0
-                if budget_ms is not None else None)
-    passes = 0
-    out_of_time = False
-    while not out_of_time and (max_passes is None or passes < max_passes):
-        passes += 1
-        sizes_now = np.array(sizes, dtype=np.int64)
-        live = np.flatnonzero(alive)
-        live = live[np.argsort(-sizes_now[live], kind="stable")]
-        size_at = sizes_now[live]
-        k = len(live)
+    if max_passes is None or max_passes > 0:
+        deadline = (perf_counter() + budget_ms / 1000.0
+                    if budget_ms is not None else None)
+        # the clusters at the two ends of each cut edge
+        ou, ov = owner[g._edge_u], owner[g._edge_v]
+        cut = ou != ov
+        # cluster ids in visiting order, and each cluster's position in it
+        order = np.argsort(-sizes, kind="stable")
+        size_at = sizes[order]
         position = np.empty(k0, dtype=np.int64)
-        position[live] = np.arange(k)
-        pu, pv = position[ou], position[ov]
-        keys, counts = np.unique(np.minimum(pu, pv) * k + np.maximum(pu, pv),
-                                 return_counts=True)
-        # complete pairs as keys p * k + q (p < q), by p then q
-        keys = keys[counts == size_at[keys // k] * size_at[keys % k]]
+        position[order] = np.arange(k0)
+        pu, pv = position[ou[cut]], position[ov[cut]]
+        keys, counts = np.unique(np.minimum(pu, pv) * k0
+                                 + np.maximum(pu, pv), return_counts=True)
+        # complete pairs as keys p * k0 + q (p < q), by p then q
+        keys = keys[counts == size_at[keys // k0] * size_at[keys % k0]]
         complete = set(keys.tolist())
-        ps, qs = np.divmod(keys, k)
-        merged_any = False
+        ps, qs = np.divmod(keys, k0)
+        # root[b]: the cluster that absorbed b, or b
+        root = list(range(k0))
         turn, absorbed = -1, []
-        for p, q, a, b in zip(ps.tolist(), qs.tolist(), live[ps].tolist(),
-                              live[qs].tolist()):
+        for p, q, a, b in zip(ps.tolist(), qs.tolist(), order[ps].tolist(),
+                              order[qs].tolist()):
             if p != turn:
                 turn, absorbed = p, []
             if not (alive[a] and alive[b]):
                 continue
             if deadline is not None and perf_counter() > deadline:
-                out_of_time = True
                 break
-            if absorbed and any(r * k + q not in complete for r in absorbed):
+            if absorbed and any(r * k0 + q not in complete
+                                for r in absorbed):
                 continue
             absorbed.append(q)
             root[b] = a
             alive[b] = False
-            sizes[a] += sizes[b]
-            merged_any = True
-        if not merged_any:
-            break
-        root_of = np.array(root, dtype=np.int64)
-        owner = root_of[owner]
-        ou, ov = root_of[ou], root_of[ov]
-        cut = ou != ov
-        ou, ov = ou[cut], ov[cut]
+        owner = np.array(root, dtype=np.int64)[owner]
     # survivors renumbered 0, 1, ... in id order; members in that order,
     # each cluster's sorted
     owner = (np.cumsum(alive, dtype=np.int64) - 1)[owner]

@@ -157,9 +157,9 @@ class _DegreeSelector(_HeapSelector):
         self.live_deg = live_deg
         n = len(live_deg)
         self.top = top = max(live_deg, default=0)
-        key = [(top - d) * n + v for v, d in enumerate(live_deg)]
-        # the keys below top * n are those of positive live degree
-        super().__init__(alive, key, [k for k in key if k < top * n])
+        deg = np.array(live_deg, dtype=np.int64)
+        key = (top - deg) * n + np.arange(n)
+        super().__init__(alive, key.tolist(), key[deg > 0].tolist())
 
     def degrees_changed(self, touched: list[int]) -> None:
         live_deg = self.live_deg
@@ -176,24 +176,50 @@ class _DegreeSelector(_HeapSelector):
 
 class _RatioSelector(_HeapSelector):
     """Keys r * n + id, which order as (ratio, id).  Every node stays in
-    the heap: the nodes of ratio 0 tie by id whether isolated or not."""
+    the heap: the nodes of ratio 0 tie by id whether isolated or not.
+
+    At start-up every node is live, so a node k's counts follow from its
+    d neighbours' degrees and the number t of edges among them, with no
+    test of ``alive``: |B_k| = sum(deg u - 1) - 2t, since each such edge
+    leaves two neighbours inside the cluster, and |N_k| = C(d, 2) - t.
+    """
 
     def __init__(self, adj: list[list[int]], alive: bytearray):
-        # _score reads adj, alive and n before the heap is built
+        # key_of reads n before the heap is built
         self.adj = adj
         self.alive = alive
         self.n = n = len(adj)
-        top = max(map(len, adj), default=0)
+        deg = list(map(len, adj))
+        top = max(deg, default=0)
         # r = |B| * S // |N|, 0 for |B| = |N| = 0, and m * S + 1 for
         # +inf (|N| = 0 < |B|), above every finite r since |B| <= m.
         # |N| <= C(top, 2), so distinct ratios differ by at least
         # 1 / (|N| * |N'|) >= 1 / S, their values at scale S by at least
         # 1, and flooring keeps their order; equal ratios tie by id.
         self.scale = scale = max(1, top * (top - 1) // 2) ** 2
-        self.inf = sum(map(len, adj)) // 2 * scale + 1
-        score = self._score
-        # a node with no neighbours has ratio 0
-        key = [score(v) if adj[v] else v for v in range(n)]
+        self.inf = sum(deg) // 2 * scale + 1
+        key_of = self.key_of
+        key = []
+        for v, nbrs in enumerate(adj):
+            d = len(nbrs)
+            if d > 1:
+                inside = set(nbrs)
+                # twice: 2t, as each edge among the neighbours is seen
+                # from both its ends
+                twice = neighbour_degrees = 0
+                for u in nbrs:
+                    row = adj[u]
+                    neighbour_degrees += len(row)
+                    twice += len(inside.intersection(row))
+                key.append(key_of(neighbour_degrees - d - twice,
+                                  d * (d - 1) // 2 - twice // 2, v))
+            elif d:
+                # |N| = 0: ratio +inf, or 0 when the neighbour has no
+                # other edge
+                key.append(key_of(deg[nbrs[0]] - 1, 0, v))
+            else:
+                # no neighbours: ratio 0
+                key.append(v)
         super().__init__(alive, key, key.copy())
 
     def key_of(self, b: int, nn: int, v: int) -> int:

@@ -7,13 +7,15 @@ maximality means every open wedge of the graph loses at least one edge to
 E_W.  It is held as a mask over the graph's edge ids.
 
 The matcher is the pipelines' hot loop, so its skip list lives in local
-variables, it tests closure in the graph's key index directly, and it
-marks each leg by the edge id that the leg's CSR slot records.  It keeps
-the matched wedges as flat integer records, three per wedge in one
-``array('q')``, and builds no object per wedge: the pipelines read only
-the count and the mask, and ``WedgeSet.wedges`` builds plain ``(i, j, k)``
-tuples on each read.  The pipelines take W from this matcher alone, so
-the bound they certify always counts a maximal set of their own graph.
+variables, it tests closure in the graph's key index directly (a set of
+compact keys ``u * base + w``, whose odd base spreads both ends over the
+low bits that pick a set slot), and it marks each leg by the edge id
+that the leg's CSR slot records.  It keeps the matched wedges as flat
+integer records, three per wedge in one ``array('q')``, and builds no
+object per wedge: the pipelines read only the count and the mask, and
+``WedgeSet.wedges`` builds plain ``(i, j, k)`` tuples on each read.  The
+pipelines take W from this matcher alone, so the bound they certify
+always counts a maximal set of their own graph.
 
 On small graphs most centers match little, so the matcher keeps its set-up
 per center small.  It visits only the centers of degree >= 2, found with
@@ -34,7 +36,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .graph import _SHIFT, Graph
+from .graph import Graph
 
 # CSR slots the matcher converts to Python lists at a time, from the start
 # of a row (a longer row is converted whole).  Bounds the lists it holds,
@@ -103,8 +105,8 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     nbrs = g._nbrs
     slot_eid = g._slot_eid
     edge_keys = g._edge_keys
+    base = g._base
     block = _ROW_BLOCK
-    shift = _SHIFT
     deg = np.diff(indptr)
     centers = np.flatnonzero(deg >= 2)
     starts = indptr[centers]
@@ -137,7 +139,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
         i = 0
         while True:
             u = live[i]
-            ubase = u << shift
+            ukey = u * base
             jp = i
             j = nxt[i]
             if j < 0:
@@ -145,7 +147,7 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
             while True:
                 inspections += 1
                 w = live[j]
-                if (ubase | w) not in edge_keys:  # live is sorted: u < w
+                if ukey + w not in edge_keys:  # live is sorted: u < w
                     weak[eids[i]] = 1
                     weak[eids[j]] = 1
                     weak_at[u] += 1

@@ -572,5 +572,5 @@ def split_by_sorted_search(g: Graph, packed_keys: set[int]
         sorted_keys = keys[order]
         pos = np.minimum(np.searchsorted(drop, sorted_keys), len(drop) - 1)
         dropped[order] = drop[pos] == sorted_keys
-    return dropped, Graph(g.n, dict.fromkeys(keys[~dropped].tolist()),
+    return dropped, Graph(g.n, g._edge_u[~dropped], g._edge_v[~dropped],
                           g.labels)

@@ -1,12 +1,13 @@
 """Reference code that only the tests use, kept out of the package.
 
 Exact solvers for small inputs (exponential time, guarded by size), the
-open-wedge enumerator, the greedy wedge matcher over its output, the
-canonical wedge set of the tight family, the verifiers of a wedge set and
-of relaxation values, the relaxation's former matcher (plain
-Hopcroft-Karp from a greedy start), and its former Gallai build (a stable
-sort of the arcs by tail) and first-fit start (a slice and a search per
-row).  Each is written against the problem
+open-wedge enumerator, the greedy wedge matcher over its output, the fast
+matcher's former build (closure tested by packed key), the canonical
+wedge set of the tight family, the verifiers of a wedge set and of
+relaxation values, the relaxation's former matcher (plain Hopcroft-Karp
+from a greedy start), and its former Gallai build (a stable sort of the
+arcs by tail) and first-fit start (a slice and a search per row).  Each
+is written against the problem
 definition directly and independently of the approximation pipeline, so
 agreement between the two is meaningful evidence.  The one exception,
 ``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
@@ -15,6 +16,8 @@ strip, pivot and scoring, once ``verify_wedge_set`` has accepted it.
 
 from __future__ import annotations
 
+from array import array
+from bisect import bisect_left
 from typing import Callable, Sequence
 
 import numpy as np
@@ -39,7 +42,8 @@ def enumerate_open_wedges(g: Graph,
     count = 0
     indptr = g._indptr
     nbrs = g._nbrs
-    eset = g._edge_keys
+    # its own index, so that the oracle does not rest on the graph's
+    eset = set(g.packed_edges())
     for k in range(g.n):
         lo = indptr[k]
         hi = indptr[k + 1]
@@ -80,6 +84,60 @@ def maximal_wedge_set_simple(g: Graph) -> WedgeSet:
 
     enumerate_open_wedges(g, sink)
     return WedgeSet(g, records, edge_mask(g, weak), inspections)
+
+
+def maximal_wedge_set_by_packed_keys(g: Graph) -> WedgeSet:
+    """The skip-list matcher as it was built before the graph kept a key
+    index of compact keys: the same sweep, testing closure by packed key
+    (``u << 32 | w``) in an index of its own, with each row read whole.
+    The fast matcher must give the same records, inspections and weak
+    mask."""
+    weak = bytearray(g.m)
+    weak_at = [0] * g.n
+    records = array("q")
+    inspections = 0
+    edge_keys = dict.fromkeys(g.packed_edges())
+    indptr = g._indptr.tolist()
+    for v in range(g.n):
+        lo, hi = indptr[v], indptr[v + 1]
+        live = g._nbrs[lo:hi].tolist()
+        eids = g._slot_eid[lo:hi].tolist()
+        if weak_at[v]:
+            p = bisect_left(live, v)
+            low = [t for t in range(p) if not weak[eids[t]]]
+            live = [live[t] for t in low] + live[p:]
+            eids = [eids[t] for t in low] + eids[p:]
+        d = len(live)
+        if d < 2:
+            continue
+        nxt = list(range(1, d)) + [-1]
+        i = 0
+        while True:
+            u = live[i]
+            ubase = u << _SHIFT
+            jp = i
+            j = nxt[i]
+            if j < 0:
+                break
+            while True:
+                inspections += 1
+                w = live[j]
+                if (ubase | w) not in edge_keys:
+                    weak[eids[i]] = 1
+                    weak[eids[j]] = 1
+                    weak_at[u] += 1
+                    weak_at[w] += 1
+                    records.extend((u, w, v))
+                    nxt[jp] = nxt[j]
+                    break
+                jp = j
+                j = nxt[j]
+                if j < 0:
+                    break
+            i = nxt[i]
+            if i < 0:
+                break
+    return WedgeSet(g, records, np.frombuffer(weak, dtype=bool), inspections)
 
 
 def tight_wedge_set(g: Graph) -> WedgeSet:

@@ -4,7 +4,9 @@ Each must give exactly what its reference gives:
 - the matcher: the wedges, weak set, weak mask and inspection count of
   the sweep driven by the skip-list cursor object, also when its rows are
   converted a few CSR slots at a time, for hub rows longer than a block,
-  and where many centers filter weak lower edges;
+  and where many centers filter weak lower edges; and the records,
+  inspection count and weak mask of its former build, which tested
+  closure by packed key (``oracles``);
 - pivot: the per-round audit, clusters and assignment of pivoting on a
   residual-graph object, for every strategy, and of the ratio pivot by a
   full scan per round;
@@ -45,7 +47,7 @@ from helpers import (edge_mask, maximal_wedge_set_by_cursor,
                      planted_clusters, ratio_pivot_by_full_scan,
                      score_by_edge_loop, split_by_sorted_search,
                      weak_keys_by_edge_loop)
-from oracles import mfp_with_wedge_set
+from oracles import maximal_wedge_set_by_packed_keys, mfp_with_wedge_set
 from test_acceptance import corpus
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
@@ -59,6 +61,10 @@ def assert_same_matching(g: Graph) -> None:
     assert ws.weak_edges == weak
     assert ws.weak_mask.tolist() == edge_mask(g, weak).tolist()
     assert ws.inspections == inspections
+    former = maximal_wedge_set_by_packed_keys(g)
+    assert ws.records == former.records
+    assert ws.inspections == former.inspections
+    assert ws.weak_mask.tolist() == former.weak_mask.tolist()
 
 
 def centers_with_weak_lower_edges(g: Graph) -> int:
@@ -367,6 +373,16 @@ def clique_partitions(draw) -> tuple[Graph, list[list[int]]]:
 @given(clique_partitions())
 def test_merge_of_any_clique_partition_matches_pairwise(case):
     assert_same_merge_of(*case)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clique_partitions())
+def test_one_pairwise_pass_is_the_fixpoint(case):
+    # why merge_clusters runs a single pass: a pass leaves no two
+    # survivors that could merge
+    g, clusters = case
+    assert (merge_clusters_pairwise(g, clusters, 1)
+            == merge_clusters_pairwise(g, clusters))
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -84,7 +84,7 @@ def parse_outcome(source, parse=parse_edge_list):
     except Exception as exc:
         return type(exc), str(exc), getattr(exc, "lineno", None)
     return (g.n, g.labels, g._edge_u.tolist(), g._edge_v.tolist(),
-            list(g._edge_keys), g._indptr.tolist(), g._nbrs.tolist())
+            sorted(g._edge_keys), g._indptr.tolist(), g._nbrs.tolist())
 
 
 # Plain pieces, which the bulk path reads, and odd pieces, which make it
@@ -358,13 +358,16 @@ def test_edge_ids_follow_first_appearance():
     ids = edge_ids(g)
     assert ids[pack_edge(2, 3)] == 0
     assert ids[pack_edge(1, 0)] == 1
-    assert pack_edge(0, 2) not in g._edge_keys
+    assert not g.has_edge(0, 2)
     assert g.packed_edges() == [pack_edge(2, 3), pack_edge(0, 1)]
 
 
 def assert_key_index_is_packed_edges(g):
-    # the index holds each edge's key once, in edge-id order, and no other
-    assert list(g._edge_keys) == g.packed_edges()
+    # the index holds the compact key of each edge and no other, and the
+    # edge arrays hold each edge once
+    base = g.n | 1
+    assert g._edge_keys == {u * base + v for u, v in g.edges()}
+    assert len(set(g.packed_edges())) == g.m
 
 
 @pytest.mark.parametrize("seed", range(6))
@@ -413,6 +416,41 @@ def test_slot_edge_ids_name_the_slot_edges(seed):
                 copy.neighbors(v).tolist() for v in range(g.n)]
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 5, 8, 16, 17, 32])
+def test_has_edge_matches_brute_force_for_all_pairs(n):
+    # ids from -2 to 2n + 2, the ids n, n + 1, -1 and more out of range;
+    # unchecked, a compact key lo * (n | 1) + hi with such an end would
+    # name some other pair: (0, n + 2) would be (1, 2) for an odd n, and
+    # (-1, n + 3) would be (0, 2) for an even n
+    rng = random.Random(n)
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)
+             if rng.random() < 0.4]
+    present = {frozenset(p) for p in pairs}
+    for g in (Graph.from_edges(n, pairs),
+              parse_edge_list("".join(f"{v} {v}\n" for v in range(n))
+                              + "".join(f"{u} {v}\n" for u, v in pairs))):
+        assert g.n == n
+        ids = range(-2, 2 * n + 3)
+        assert [g.has_edge(u, v) for u in ids for v in ids] == [
+            frozenset((u, v)) in present for u in ids for v in ids]
+
+
+def test_bulk_parse_keeps_first_appearances_of_duplicates():
+    # repeats in either orientation, also as the last line; edge ids
+    # follow each edge's first line, in bulk as in the line loop
+    text = "5 6\n7 5\n6 5\n8 8\n6 7\n5 7\n9 6\n5 6\n7 6\n"
+    want = [(0, 1), (0, 2), (1, 2), (1, 4)]
+    for source in (text, text.splitlines()):
+        g = parse_edge_list(source)
+        assert g.labels == [5, 6, 7, 8, 9]
+        assert list(g.edges()) == want
+        assert_key_index_is_packed_edges(g)
+    assert parse_outcome(text) == parse_outcome(
+        text.splitlines(), clusterdel.graph._parse_lines)
+    assert list(Graph.from_edges(5, [(0, 1), (2, 0), (1, 0), (1, 2), (4, 1),
+                                     (2, 1)]).edges()) == want
+
+
 def test_drop_edges_returns_pruned_copy():
     g = parse_edge_list("1 2\n2 3\n3 1\n")
     g2 = g.drop_edges({pack_edge(0, 1)})
@@ -425,8 +463,9 @@ def test_drop_edges_returns_pruned_copy():
 def drop_edges_by_comprehension(g, packed_keys):
     """The loop drop_edges replaced, kept as its reference: the keys come
     from the edge arrays, not the key index."""
-    keep = [key for key in g.packed_edges() if key not in packed_keys]
-    return Graph(g.n, dict.fromkeys(keep), g.labels)
+    keep = np.array([key for key in g.packed_edges()
+                     if key not in packed_keys], dtype=np.int64)
+    return Graph(g.n, keep >> 32, keep & 0xFFFFFFFF, g.labels)
 
 
 @pytest.mark.parametrize("seed", range(12))

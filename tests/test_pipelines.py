@@ -443,6 +443,25 @@ def test_shared_bound_on_random_graphs(g):
     assert_shared_bound_changes_nothing(g)
 
 
+@pytest.mark.parametrize("seed", range(3))
+def test_no_call_mutates_the_memoized_lists(seed):
+    g = planted_clusters([3, 4, 5, 6, 7], 0.2, 15, seed)
+    SHARED_BOUND_CALLS[0](g)
+    SHARED_BOUND_CALLS[3](g)
+    # the memo holds each bound beside its stripped lists, which every
+    # later pivot and merge on g reads and none changes
+    memo = {key: (bound, [row.copy() for row in adj])
+            for key, (bound, adj) in g._bounds.items()}
+    assert set(memo) == {"mfp", ("stclp", DEFAULT_ARC_BUDGET)}
+    for call in SHARED_BOUND_CALLS:
+        call(g)
+    assert g._bounds.keys() == memo.keys()
+    for key, (bound, adj) in g._bounds.items():
+        assert bound is memo[key][0]
+        assert adj == memo[key][1]
+        assert adj == pipelines.adjacency_lists(g, ~bound.weak_mask)
+
+
 def _count_calls(monkeypatch, name: str) -> list:
     real, calls = getattr(pipelines, name), []
 

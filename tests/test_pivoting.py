@@ -176,6 +176,18 @@ def test_ratio_int_keys_zero_ratio_with_and_without_nonedges():
     assert sel.key_of(0, 5, 2) < sel.key_of(1, 10, 0)
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_ratio_start_up_keys_are_the_live_scores(seed):
+    # the start-up keys come from degrees and the edges among each
+    # node's neighbours; with every node live they must be _score's
+    rng = random.Random(seed)
+    g = er_graph(rng.randrange(1, 40), rng.choice((0.05, 0.2, 0.5, 0.9)),
+                 seed=seed)
+    adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
+    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n)
+    assert sel.key == [sel._score(v) for v in range(g.n)]
+
+
 def test_isolated_nodes_start_at_ratio_zero():
     g = Graph.from_edges(5, [(1, 2), (2, 3)])
     adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
