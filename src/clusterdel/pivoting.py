@@ -22,11 +22,14 @@ strategy, and every trial of best-of-T.  ``pivot`` builds them for a
 single call.  The audit is counted while a cluster is removed: every live
 neighbour a member still has is a boundary edge, and every neighbour
 already assigned to the new cluster is an internal edge.  A pivot of live
-degree 0 becomes a singleton without that pass.  The audit keeps its
-rounds as flat integer records, three per round, and builds no tuple per
-round: the pipelines read only its totals, and
-``PivotAudit.per_iteration`` builds the tuples on each read.  All three
-strategies share the loop and differ only in their selector.
+degree 0 becomes a singleton without that pass.  A pivot whose live degree
+is still the length of its row has lost no neighbour, so its row itself is
+the member list, read and never changed; only a pivot with a dead
+neighbour filters its row.  The audit keeps its rounds as flat integer
+records, three per round, and builds no tuple per round: the pipelines
+read only its totals, and ``PivotAudit.per_iteration`` builds the tuples
+on each read.  All three strategies share the loop and differ only in
+their selector.
 
 The degree and ratio selectors share one lazy min-heap of int keys
 (``_HeapSelector``), a node's rank times n plus its id, so heapq compares
@@ -40,14 +43,16 @@ changes (|B_k|, |N_k|) only for nodes within distance 2 of it, so a round
 re-scores just those nodes: the live neighbours of the cluster and their
 live neighbours.  A node's score costs the sum of its live neighbours'
 degrees, so a round costs that sum over the dirty set instead of over
-every live node.
+every live node; like the pivot loop, it reads the node's row unfiltered
+while the node's live degree says no neighbour has died.
 
-The random selector draws an index into a list of candidates with
+The random selector draws an index below the candidate count n with
 ``randrange``'s own steps inlined (getrandbits of n.bit_length() bits,
 redrawn while out of range), so a seed picks the same nodes as it always
-has.  A dead candidate stays in the list until a draw lands on it, which
+has.  A dead candidate stays among the n until a draw lands on it, which
 costs one more draw; removing candidates as they die would change which
-node a seed picks.
+node a seed picks.  The selector keeps n and its bit length from pop to
+pop, and changes them only when a draw lands on a dead candidate.
 """
 
 from __future__ import annotations
@@ -184,10 +189,13 @@ class _RatioSelector(_HeapSelector):
     leaves two neighbours inside the cluster, and |N_k| = C(d, 2) - t.
     """
 
-    def __init__(self, adj: list[list[int]], alive: bytearray):
+    def __init__(self, adj: list[list[int]], alive: bytearray,
+                 live_deg: list[int]):
         # key_of reads n before the heap is built
         self.adj = adj
         self.alive = alive
+        # the pivot loop's live degrees, current whenever it calls in
+        self.live_deg = live_deg
         self.n = n = len(adj)
         deg = list(map(len, adj))
         top = max(deg, default=0)
@@ -234,7 +242,9 @@ class _RatioSelector(_HeapSelector):
         """Key of pivoting at k: from (|B_k|, |N_k|) in the live graph."""
         adj = self.adj
         alive = self.alive
-        members = [u for u in adj[k] if alive[u]]
+        members = adj[k]
+        if self.live_deg[k] != len(members):
+            members = [u for u in members if alive[u]]
         inside = set(members)
         boundary = adjacent_inside_twice = 0
         for u in members:
@@ -264,31 +274,36 @@ class _RatioSelector(_HeapSelector):
 
 
 class _RandomSelector:
-    """Uniform draws from a list of candidates; a dead candidate stays in
-    the list until a draw lands on it, and is then swapped out."""
+    """Uniform draws from the first n entries of a list of candidates; a
+    dead candidate stays among them until a draw lands on it, and is then
+    swapped with the last of them, and n drops by one."""
 
     def __init__(self, alive: bytearray, seed: int):
         self.alive = alive
         self.getrandbits = random.Random(seed).getrandbits
         self.live = list(range(len(alive)))
+        self.n = n = len(alive)
+        self.bits = n.bit_length()
 
     def pop(self) -> int:
         live = self.live
         alive = self.alive
         getrandbits = self.getrandbits
+        n = self.n
+        k = self.bits
         while True:
             # randrange(n) as CPython draws it (_randbelow_with_getrandbits)
-            n = len(live)
-            k = n.bit_length()
             idx = getrandbits(k)
             while idx >= n:
                 idx = getrandbits(k)
             v = live[idx]
             if alive[v]:
+                self.n = n
+                self.bits = k
                 return v
-            last = live.pop()
-            if idx < n - 1:
-                live[idx] = last
+            n -= 1
+            live[idx] = live[n]
+            k = n.bit_length()
 
     def degrees_changed(self, touched: list[int]) -> None:
         pass
@@ -302,7 +317,7 @@ def adjacency_lists(g: Graph, keep: np.ndarray) -> list[list[int]]:
     kept_before = np.concatenate(([0], np.cumsum(kept)))
     indptr = kept_before[g._indptr].tolist()
     flat = g._nbrs[kept].tolist()
-    return [flat[indptr[v]:indptr[v + 1]] for v in range(g.n)]
+    return list(map(flat.__getitem__, map(slice, indptr, indptr[1:])))
 
 
 def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:
@@ -321,7 +336,7 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
     if strategy.kind == "degree":
         selector = _DegreeSelector(alive, live_deg)
     elif strategy.kind == "ratio":
-        selector = _RatioSelector(adj, alive)
+        selector = _RatioSelector(adj, alive, live_deg)
     else:
         selector = _RandomSelector(alive, strategy.seed)
     assignment = [-1] * n
@@ -345,7 +360,10 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
             record(0)
             left -= 1
             continue
-        members = [u for u in adj[k] if alive[u]]
+        members = adj[k]
+        if live_deg[k] != len(members):
+            # some neighbour has died; else the row is the member list
+            members = [u for u in members if alive[u]]
         cluster = sorted(members + [k])
         for v in cluster:
             alive[v] = 0

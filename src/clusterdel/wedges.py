@@ -22,15 +22,17 @@ per center small.  It visits only the centers of degree >= 2, found with
 one numpy call.  It reads their rows from Python lists converted one
 block of CSR slots at a time (``_ROW_BLOCK``), since lists of the whole
 CSR raise the peak RSS and are no faster.  It counts the weak edges at
-each node, so a center sorts out weak lower edges only when its count is
-not zero.  And it slices each sweep's skip list off one chain built in
-advance.
+each node, and takes each node's number of lower neighbours from one
+``np.bincount``.  So a center with fewer than two live neighbours is
+skipped before its row is read, a center whose lower edges are all weak
+sweeps just the upper part of its row, a slice, and only a center with
+some but not all of its lower edges weak sorts them out one by one.  And
+it slices each sweep's skip list off one chain built in advance.
 """
 
 from __future__ import annotations
 
 from array import array
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,32 +110,45 @@ def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     base = g._base
     block = _ROW_BLOCK
     deg = np.diff(indptr)
-    centers = np.flatnonzero(deg >= 2)
-    starts = indptr[centers]
-    ends = indptr[centers + 1]
     # nxt of a d-neighbour sweep is chain[:d] with its last entry -1
     chain = list(range(1, int(deg.max(initial=0)) + 1))
+    centers = np.flatnonzero(deg >= 2)
+    # per center v: its CSR row [lo, hi) and its number of lower
+    # neighbours, the lower ends of the edges whose upper end it is (as a
+    # list, nearly all CPython's cached small ints); only the lists are
+    # kept through the sweep
+    rows = zip(centers.tolist(), indptr[centers].tolist(),
+               indptr[centers + 1].tolist(),
+               np.bincount(g._edge_v, minlength=g.n)[centers].tolist())
+    del deg, centers
     # nb, eb: neighbours and edge ids of CSR slots [b0, b1) as lists
     b0 = b1 = 0
     nb: list[int] = []
     eb: list[int] = []
-    for v, lo, hi in zip(centers.tolist(), starts.tolist(), ends.tolist()):
+    for v, lo, hi, below in rows:
+        # d: v's live neighbours, all but the ends of its weak lower edges
+        dead = weak_at[v]
+        d = hi - lo - dead
+        if d < 2:
+            continue
         if hi > b1:
             b0 = lo
             b1 = max(lo + block, hi)
             nb = nbrs[b0:b1].tolist()
             eb = slot_eid[b0:b1].tolist()
-        live = nb[lo - b0:hi - b0]
-        # eids[t]: id of the edge from v to live[t]
-        eids = eb[lo - b0:hi - b0]
-        if weak_at[v]:
-            p = bisect_left(live, v)
-            low = [t for t in range(p) if not weak[eids[t]]]
-            live = [live[t] for t in low] + live[p:]
-            eids = [eids[t] for t in low] + eids[p:]
-        d = len(live)
-        if d < 2:
-            continue
+        if dead == below:
+            # no lower edge is live: the sweep takes the upper part
+            mid = lo - b0 + below
+            live = nb[mid:hi - b0]
+            # eids[t]: id of the edge from v to live[t]
+            eids = eb[mid:hi - b0]
+        else:
+            live = nb[lo - b0:hi - b0]
+            eids = eb[lo - b0:hi - b0]
+            if dead:
+                low = [t for t in range(below) if not weak[eids[t]]]
+                live = [live[t] for t in low] + live[below:]
+                eids = [eids[t] for t in low] + eids[below:]
         nxt = chain[:d]
         nxt[-1] = -1
         i = 0

@@ -468,6 +468,21 @@ def boundary_and_nonedge_counts(state: ResidualGraph, k: int
     return boundary, nonedges
 
 
+def draw_live_candidate(rng: random.Random, candidates: list[int],
+                        alive: bytearray) -> int:
+    """The random pivot's draw: randrange over the candidates until it
+    lands on a live node; a dead candidate it lands on is popped, and the
+    last candidate takes its place."""
+    while True:
+        idx = rng.randrange(len(candidates))
+        v = candidates[idx]
+        if alive[v]:
+            return v
+        last = candidates.pop()
+        if idx < len(candidates):
+            candidates[idx] = last
+
+
 def pivot_by_residual_graph(g: Graph, kind: str, seed: int | None = None
                             ) -> tuple[list[int], list[list[int]],
                                        list[tuple[int, int, int]]]:
@@ -494,14 +509,7 @@ def pivot_by_residual_graph(g: Graph, kind: str, seed: int | None = None
             return min(live, key=lambda v: (-state.live_deg[v], v))
         if kind == "ratio":
             return min(live, key=lambda v: (ratio_key(v), v))
-        while True:
-            idx = rng.randrange(len(candidates))
-            v = candidates[idx]
-            if state.alive[v]:
-                return v
-            last = candidates.pop()
-            if idx < len(candidates):
-                candidates[idx] = last
+        return draw_live_candidate(rng, candidates, state.alive)
 
     assignment = [-1] * g.n
     clusters: list[list[int]] = []

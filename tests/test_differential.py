@@ -4,7 +4,8 @@ Each must give exactly what its reference gives:
 - the matcher: the wedges, weak set, weak mask and inspection count of
   the sweep driven by the skip-list cursor object, also when its rows are
   converted a few CSR slots at a time, for hub rows longer than a block,
-  and where many centers filter weak lower edges; and the records,
+  where many centers filter weak lower edges, and where centers with
+  every lower edge weak sweep the upper part of their rows; and the records,
   inspection count and weak mask of its former build, which tested
   closure by packed key (``oracles``);
 - pivot: the per-round audit, clusters and assignment of pivoting on a
@@ -30,6 +31,7 @@ Each must give exactly what its reference gives:
 from __future__ import annotations
 
 import random
+from collections import Counter
 from unittest import mock
 
 import pytest
@@ -113,6 +115,54 @@ def test_matcher_hub_rows_longer_than_a_block():
 def test_matcher_many_centers_with_weak_lower_edges(block):
     g = planted_clusters([3, 4, 5, 6] * 25, 0.3, 150, 7)
     assert centers_with_weak_lower_edges(g) > g.n // 4
+    with mock.patch.object(wedges, "_ROW_BLOCK", block):
+        assert_same_matching(g)
+
+
+def two_hub_graph(seed: int) -> Graph:
+    """Hubs 0 and 1, not adjacent, each joined to the 40 leaves 2..41:
+    each hub matches its leaves in pairs, so most leaves reach their turn
+    with both lower edges weak; the few edges among the leaves close
+    triangles at the hubs, which leave some leaves a live lower edge.
+    Leaf t has t % 4 upper neighbours among the nodes 42..61, which are
+    joined to each other at random."""
+    rng = random.Random(seed)
+    leaves = range(2, 42)
+    pool = range(42, 62)
+    edges = [(hub, leaf) for hub in (0, 1) for leaf in leaves]
+    edges += [(rng.choice(leaves), rng.choice(leaves)) for _ in range(3)]
+    for t, leaf in enumerate(leaves):
+        edges += [(leaf, u) for u in rng.sample(pool, t % 4)]
+    edges += [(rng.choice(pool), rng.choice(pool)) for _ in range(15)]
+    return Graph.from_edges(62, edges)
+
+
+def lower_edges_at_turn(g: Graph) -> list[tuple[int, int, int]]:
+    """(weak, lower, upper) edge counts of each center of degree >= 2 with
+    a lower neighbour, as it reaches its turn: a lower edge is weak then
+    if it was a leg matched at its lower end."""
+    weak_below = Counter(x for i, j, k in maximal_wedge_set_by_cursor(g)[0]
+                         for x in (i, j) if x > k)
+    counts = []
+    for v in range(g.n):
+        row = g.neighbors(v).tolist()
+        lower = sum(u < v for u in row)
+        if len(row) >= 2 and lower:
+            counts.append((weak_below[v], lower, len(row) - lower))
+    return counts
+
+
+@pytest.mark.parametrize("block", range(1, 10))
+@pytest.mark.parametrize("seed", range(4))
+def test_matcher_centers_with_every_lower_edge_weak(seed, block):
+    # such a center sweeps only the part of its row above it, or is
+    # skipped with fewer than two upper neighbours; small blocks move that
+    # part's start across block ends
+    g = two_hub_graph(seed)
+    counts = lower_edges_at_turn(g)
+    upper = {up for weak, lower, up in counts if weak == lower}
+    assert {0, 1} <= upper and max(upper) >= 2
+    assert any(0 < weak < lower for weak, lower, _ in counts)
     with mock.patch.object(wedges, "_ROW_BLOCK", block):
         assert_same_matching(g)
 

@@ -19,7 +19,8 @@ from clusterdel import (
 )
 from clusterdel.pivoting import (_RandomSelector, _RatioSelector,
                                  adjacency_lists, pivot_lists)
-from helpers import cut_deletions, pivot_by_residual_graph
+from helpers import (cut_deletions, draw_live_candidate, planted_clusters,
+                     pivot_by_residual_graph)
 
 
 def test_strategy_validation():
@@ -104,6 +105,41 @@ def test_random_draws_match_randrange(seed):
                 == [rng.randrange(n) for _ in range(25)]), n
 
 
+# sizes either side of each power of two up to 2^10
+DEAD_DRAW_SIZES = sorted({n for k in range(1, 11)
+                          for n in (2**k - 1, 2**k, 2**k + 1)})
+
+
+@pytest.mark.parametrize("seed", [0, 1, 61, 2**40 + 3])
+def test_random_draws_match_randrange_after_dead_hits(seed):
+    # a script kills nodes between pops, and each popped node dies, as
+    # its cluster would; the selector keeps its candidate count and bit
+    # length from pop to pop, and must still draw what randrange over a
+    # shrinking candidate list draws, also where a dead hit takes the
+    # count below a power of two in the middle of a pop
+    script = random.Random(seed + 1)
+    pops = crossings = 0
+    for n in DEAD_DRAW_SIZES:
+        alive = bytearray(b"\x01") * n
+        selector = _RandomSelector(alive, seed)
+        rng = random.Random(seed)
+        candidates = list(range(n))
+        live = set(range(n))
+        while live:
+            if script.random() < 0.25:
+                for v in script.sample(sorted(live), (len(live) - 1) // 4):
+                    alive[v] = 0
+                    live.discard(v)
+            bits = len(candidates).bit_length()
+            expected = draw_live_candidate(rng, candidates, alive)
+            assert selector.pop() == expected, (n, pops)
+            crossings += len(candidates).bit_length() < bits
+            pops += 1
+            alive[expected] = 0
+            live.discard(expected)
+    assert pops > 600 and crossings > 40
+
+
 
 def ratio_selector(delta: int, extra: int) -> _RatioSelector:
     """The ratio selector of a star with delta leaves (nodes 0..delta)
@@ -113,7 +149,7 @@ def ratio_selector(delta: int, extra: int) -> _RatioSelector:
     edges += [(v, v + 1) for v in range(delta + 1, delta + extra)]
     g = Graph.from_edges(delta + 1 + extra, edges)
     adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
-    return _RatioSelector(adj, bytearray(b"\x01") * g.n)
+    return _RatioSelector(adj, bytearray(b"\x01") * g.n, list(map(len, adj)))
 
 
 def exact_ratio_key(b: int, nn: int, v: int) -> tuple[int, Fraction, int]:
@@ -184,14 +220,14 @@ def test_ratio_start_up_keys_are_the_live_scores(seed):
     g = er_graph(rng.randrange(1, 40), rng.choice((0.05, 0.2, 0.5, 0.9)),
                  seed=seed)
     adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
-    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n)
+    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n, list(map(len, adj)))
     assert sel.key == [sel._score(v) for v in range(g.n)]
 
 
 def test_isolated_nodes_start_at_ratio_zero():
     g = Graph.from_edges(5, [(1, 2), (2, 3)])
     adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
-    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n)
+    sel = _RatioSelector(adj, bytearray(b"\x01") * g.n, list(map(len, adj)))
     assert sel.key[0] == 0 and sel.key[4] == 4
     assert sel.pop() == 0
 
@@ -224,6 +260,73 @@ def test_pivot_with_a_hub_matches_residual_scan(kind, seed, hub_degree,
     assert clustering.assignment == assignment
     assert clustering.clusters == clusters
     assert audit.per_iteration == per_iteration
+
+
+def stripped_lists(seed: int) -> list[list[int]]:
+    """Adjacency lists of a planted graph with a random third of its
+    edges left out, as the pipelines strip weak edges."""
+    g = planted_clusters([2, 3, 4, 5, 6] * 4, 0.2, 40, seed)
+    keep = np.random.default_rng(seed).random(g.m) >= 1 / 3
+    return adjacency_lists(g, keep)
+
+
+@pytest.mark.parametrize("strategy", [PivotStrategy.degree(),
+                                      PivotStrategy.ratio(),
+                                      PivotStrategy.random(5)])
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_lists_leaves_the_lists_unchanged(strategy, seed):
+    # a pivot with no dead neighbour takes its own row as its member
+    # list, which neither the pivot nor its caller may then change
+    adj = stripped_lists(seed)
+    rows = list(adj)
+    contents = [list(row) for row in adj]
+    clustering, _ = pivot_lists(adj, strategy)
+    assert adj == contents
+    assert len(adj) == len(rows)
+    assert all(a is b for a, b in zip(adj, rows))
+    row_ids = set(map(id, rows))
+    assert not any(id(c) in row_ids for c in clustering.clusters)
+
+
+def score_by_filter(sel: _RatioSelector, k: int) -> int:
+    """The key of pivoting at k with k's members always filtered from its
+    row, by a loop over the live graph."""
+    members = [u for u in sel.adj[k] if sel.alive[u]]
+    boundary = twice = 0
+    for u in members:
+        for w in sel.adj[u]:
+            if sel.alive[w] and w != k:
+                if w in members:
+                    twice += 1
+                else:
+                    boundary += 1
+    d = len(members)
+    return sel.key_of(boundary, d * (d - 1) // 2 - twice // 2, k)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_ratio_rescores_equal_filtered_scores_mid_run(seed, monkeypatch):
+    # after every round, each live node's key, re-scored or not, is the
+    # score its live rows give, and the live degree _score trusts to
+    # skip the filter is the number of live neighbours
+    real = _RatioSelector.degrees_changed
+    rows = {"whole": 0, "filtered": 0}
+
+    def checked(self, touched):
+        real(self, touched)
+        for v in range(self.n):
+            if self.alive[v]:
+                live = sum(self.alive[u] for u in self.adj[v])
+                assert self.live_deg[v] == live
+                rows["whole" if live == len(self.adj[v])
+                     else "filtered"] += 1
+                assert self.key[v] == score_by_filter(self, v), v
+
+    monkeypatch.setattr(_RatioSelector, "degrees_changed", checked)
+    adj = stripped_lists(seed)
+    clustering, audit = pivot_lists(adj, PivotStrategy.ratio())
+    assert rows["whole"] > 100 and rows["filtered"] > 20
+    assert len(audit.rounds) // 3 == clustering.num_clusters
 
 
 def test_empty_graph():
