@@ -49,15 +49,17 @@ while the node's live degree says no neighbour has died.
 The random selector draws an index below the candidate count n with
 ``randrange``'s own steps inlined (getrandbits of n.bit_length() bits,
 redrawn while out of range), so a seed picks the same nodes as it always
-has.  A dead candidate stays among the n until a draw lands on it, which
+has.  A dead candidate stays in the list until a draw lands on it, which
 costs one more draw; removing candidates as they die would change which
-node a seed picks.  The selector keeps n and its bit length from pop to
-pop, and changes them only when a draw lands on a dead candidate.
+node a seed picks.  The selector keeps n, the list's length, and its bit
+length from pop to pop, and changes them only when a draw lands on a dead
+candidate.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import random
 from dataclasses import dataclass
 
@@ -274,9 +276,9 @@ class _RatioSelector(_HeapSelector):
 
 
 class _RandomSelector:
-    """Uniform draws from the first n entries of a list of candidates; a
-    dead candidate stays among them until a draw lands on it, and is then
-    swapped with the last of them, and n drops by one."""
+    """Uniform draws from a list of candidates; a dead candidate stays in
+    the list until a draw lands on it, and is then swapped out.  The
+    list's length n and its bit length are kept from pop to pop."""
 
     def __init__(self, alive: bytearray, seed: int):
         self.alive = alive
@@ -301,8 +303,11 @@ class _RandomSelector:
                 self.n = n
                 self.bits = k
                 return v
+            # popped, not left past n, so the list's memory shrinks too
             n -= 1
-            live[idx] = live[n]
+            last = live.pop()
+            if idx < n:
+                live[idx] = last
             k = n.bit_length()
 
     def degrees_changed(self, touched: list[int]) -> None:
@@ -317,7 +322,9 @@ def adjacency_lists(g: Graph, keep: np.ndarray) -> list[list[int]]:
     kept_before = np.concatenate(([0], np.cumsum(kept)))
     indptr = kept_before[g._indptr].tolist()
     flat = g._nbrs[kept].tolist()
-    return list(map(flat.__getitem__, map(slice, indptr, indptr[1:])))
+    # islice: the row ends, without a copy of indptr
+    return list(map(flat.__getitem__,
+                    map(slice, indptr, itertools.islice(indptr, 1, None))))
 
 
 def pivot(g: Graph, strategy: PivotStrategy) -> tuple[Clustering, PivotAudit]:

@@ -5,9 +5,9 @@ Each must give exactly what its reference gives:
   the sweep driven by the skip-list cursor object, also when its rows are
   converted a few CSR slots at a time, for hub rows longer than a block,
   where many centers filter weak lower edges, and where centers with
-  every lower edge weak sweep the upper part of their rows; and the records,
-  inspection count and weak mask of its former build, which tested
-  closure by packed key (``oracles``);
+  every lower edge weak sweep the upper part of their rows; and the
+  records, inspection count and weak mask of its former build, which
+  tested closure by packed key (``oracles``);
 - pivot: the per-round audit, clusters and assignment of pivoting on a
   residual-graph object, for every strategy, and of the ratio pivot by a
   full scan per round;
