@@ -23,6 +23,7 @@ by packed keys (``pack_edge``), which do not depend on n.
 from __future__ import annotations
 
 import io
+import os
 import re
 from itertools import chain, islice
 from typing import Iterable, Iterator
@@ -203,7 +204,14 @@ def parse_edge_list(source) -> Graph:
     routes give the same graph.  An error raised while reading the source
     is raised after the lines read before it are parsed, so an earlier
     malformed line fails first.
+
+    A path (``os.PathLike``) raises ``TypeError``: open the file and pass
+    that.  A str is always the text itself, never a file name.
     """
+    if isinstance(source, os.PathLike):
+        raise TypeError("parse_edge_list reads a str, bytes, an open file "
+                        "or an iterable of lines, not a path: open "
+                        f"{os.fspath(source)!r} and pass the file")
     if isinstance(source, bytes):
         source = source.decode("utf-8")
     if isinstance(source, str):

@@ -191,9 +191,9 @@ def _score(cert: Certificate, clustering: Clustering, audit: PivotAudit,
         m_1 = int(np.count_nonzero(cut_weak & (values == 2)))
         b_half = m_w - m_1
         n_half = int(np.count_nonzero(weak & ~cut & (values == 1)))
-    # every cluster must be a clique of g
-    sizes = np.fromiter(map(len, clustering.clusters), dtype=np.int64,
-                        count=len(clustering.clusters))
+    # every cluster must be a clique of g, which holds exactly when the
+    # pairs inside clusters are as many as the edges not cut
+    sizes = np.bincount(assignment)
     internal_pairs = int(np.sum(sizes * (sizes - 1) // 2))
     if internal_pairs != g.m - deletions:
         raise InvariantError("non-clique cluster")
@@ -304,7 +304,11 @@ def merge_clusters(g: Graph, clustering: Clustering,
 
     clustering must partition g's nodes into non-empty clusters, as
     pivoting and merging do (ValueError otherwise).  Its assignment is
-    read; of its clusters, only their sizes, which must match it.
+    read, and of its clusters only their sizes: member lists passed in
+    must match the assignment's, and a clustering made by pivoting or
+    merging holds none unless they have been read.  The merged clustering
+    is recorded the same way, as its assignment and count; its lists are
+    built when first read.
     """
     if budget_ms is not None and not budget_ms >= 0:
         raise ValueError("merge budget must be a non-negative number of "
@@ -318,11 +322,13 @@ def merge_clusters(g: Graph, clustering: Clustering,
     sizes = np.bincount(owner, minlength=k0)
     if not sizes.all():
         raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
-    listed = list(map(len, clustering.clusters))
-    if sizes.tolist() != listed:
-        c = next(c for c in range(k0) if sizes[c] != listed[c])
-        raise ValueError(f"cluster {c} lists {listed[c]} nodes, but the "
-                         f"assignment gives it {sizes[c]}")
+    # lists passed in must agree; pivoting and merging pass none
+    if clustering._lists is not None:
+        listed = list(map(len, clustering._lists))
+        if sizes.tolist() != listed:
+            c = next(c for c in range(k0) if sizes[c] != listed[c])
+            raise ValueError(f"cluster {c} lists {listed[c]} nodes, but "
+                             f"the assignment gives it {sizes[c]}")
     alive = [True] * k0
     if max_passes is None or max_passes > 0:
         deadline = (perf_counter() + budget_ms / 1000.0
@@ -360,13 +366,9 @@ def merge_clusters(g: Graph, clustering: Clustering,
             root[b] = a
             alive[b] = False
         owner = np.array(root, dtype=np.int64)[owner]
-    # survivors renumbered 0, 1, ... in id order; members in that order,
-    # each cluster's sorted
-    owner = (np.cumsum(alive, dtype=np.int64) - 1)[owner]
-    members = np.argsort(owner, kind="stable").tolist()
-    bounds = [0] + np.cumsum(np.bincount(owner)).tolist()
-    return Clustering(owner.tolist(),
-                      [members[i:j] for i, j in zip(bounds, bounds[1:])])
+    # survivors renumbered 0, 1, ... in id order
+    renumber = np.cumsum(alive, dtype=np.int64) - 1
+    return Clustering._of_assignment(renumber[owner].tolist(), sum(alive))
 
 
 def apply_merge(g: Graph, result: CDResult,

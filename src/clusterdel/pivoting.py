@@ -28,8 +28,15 @@ the member list, read and never changed; only a pivot with a dead
 neighbour filters its row.  The audit keeps its rounds as flat integer
 records, three per round, and builds no tuple per round: the pipelines
 read only its totals, and ``PivotAudit.per_iteration`` builds the tuples
-on each read.  All three strategies share the loop and differ only in
-their selector.
+on each read.  The clustering, likewise, is recorded as its assignment and
+its number of clusters; no round builds a member list, and
+``Clustering.clusters`` builds all of them with one stable argsort when it
+is first read (the pipelines never read it; scoring, merging and the CLI
+read the assignment).  All three strategies share the loop and differ only
+in their selector.  The loop ends once its count of nodes left to assign
+reaches 0 or goes below, and raises ``InvariantError`` unless that count is
+exactly 0 and no node is live: a selector that hands out a node already
+clustered would otherwise loop for ever.
 
 The degree and ratio selectors share one lazy min-heap of int keys
 (``_HeapSelector``), a node's rank times n plus its id, so heapq compares
@@ -65,7 +72,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graph import Graph
+from .graph import Graph, InvariantError
 
 
 @dataclass(frozen=True)
@@ -94,17 +101,64 @@ class PivotStrategy:
             raise ValueError(f"{self.kind} strategy takes no seed")
 
 
+class _Clusters:
+    """``Clustering.clusters``, a data descriptor and the field's default.
+
+    Lists set on an instance are what it returns.  None, the default,
+    leaves them to be built from the assignment on the first read, with
+    one stable argsort, and kept: each cluster's members come out in id
+    order, and an id that no node has gives an empty list."""
+
+    def __get__(self, obj, objtype=None):
+        if obj is None:
+            return None  # the field's default
+        lists = obj._lists
+        if lists is None:
+            owner = np.array(obj.assignment, dtype=np.int64)
+            members = np.argsort(owner, kind="stable").tolist()
+            bounds = [0] + np.cumsum(
+                np.bincount(owner, minlength=obj.num_clusters)).tolist()
+            lists = obj._lists = [members[i:j]
+                                  for i, j in zip(bounds, bounds[1:])]
+        return lists
+
+    def __set__(self, obj, value) -> None:
+        obj._lists = value
+
+
 @dataclass
 class Clustering:
     """A partition of the graph's nodes into non-empty clusters:
-    assignment[v] = cluster id in creation order; clusters[c] sorted."""
+    assignment[v] = cluster id in creation order; clusters[c] sorted.
+
+    Pivoting and merging record only the assignment and the number of
+    clusters; ``clusters`` builds the member lists on its first read and
+    keeps them.  Lists passed in are kept as given, and ``num_clusters``
+    is their length.  Without them, it is the count the clustering was
+    made with, or one more than the largest id."""
 
     assignment: list[int]
-    clusters: list[list[int]]
+    clusters: list[list[int]] = _Clusters()
+
+    # not fields: the member lists once set or built, and the count
+    _lists = None
+    _count = None
+
+    @classmethod
+    def _of_assignment(cls, assignment: list[int], count: int
+                       ) -> "Clustering":
+        """A clustering of ids 0..count-1, its lists built when read."""
+        clustering = cls(assignment)
+        clustering._count = count
+        return clustering
 
     @property
     def num_clusters(self) -> int:
-        return len(self.clusters)
+        if self._lists is not None:
+            return len(self._lists)
+        if self._count is None:
+            self._count = max(self.assignment, default=-1) + 1
+        return self._count
 
 
 @dataclass
@@ -347,32 +401,32 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
     else:
         selector = _RandomSelector(alive, strategy.seed)
     assignment = [-1] * n
-    clusters: list[list[int]] = []
     # a list: array("q").append parses each int, at 2-3 times the cost
     rounds: list[int] = []
     record = rounds.append
     total_b = 0
     total_n = 0
+    cid = 0
     left = n
-    while left:
+    # left > 0, not left: a selector that hands out a dead node would
+    # drive left below 0, and the check after the loop reports it
+    while left > 0:
         k = selector.pop()
-        cid = len(clusters)
+        alive[k] = 0
+        assignment[k] = cid
         if not live_deg[k]:
             # a singleton: no members, no audit counts, no degree changes
-            alive[k] = 0
-            assignment[k] = cid
-            clusters.append([k])
             record(k)
             record(0)
             record(0)
+            cid += 1
             left -= 1
             continue
         members = adj[k]
         if live_deg[k] != len(members):
             # some neighbour has died; else the row is the member list
             members = [u for u in members if alive[u]]
-        cluster = sorted(members + [k])
-        for v in cluster:
+        for v in members:
             alive[v] = 0
             assignment[v] = cid
         # k's neighbours are all in the cluster, so only the members can
@@ -390,16 +444,18 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
         d = len(members)
         b = len(touched)
         nn = d * (d - 1) // 2 - (inside - d) // 2
-        clusters.append(cluster)
         record(k)
         record(b)
         record(nn)
         total_b += b
         total_n += nn
-        left -= len(cluster)
+        cid += 1
+        left -= d + 1
         selector.degrees_changed(touched)
-    return Clustering(assignment, clusters), PivotAudit(total_b, total_n,
-                                                        rounds)
+    if left or 1 in alive:
+        raise InvariantError("pivoting took a node already clustered")
+    return (Clustering._of_assignment(assignment, cid),
+            PivotAudit(total_b, total_n, rounds))
 
 
 def clustering_lines(clustering: Clustering, g: Graph) -> list[str]:

@@ -5,9 +5,10 @@ open-wedge enumerator, the greedy wedge matcher over its output, the fast
 matcher's former build (closure tested by packed key), the canonical
 wedge set of the tight family, the verifiers of a wedge set and of
 relaxation values, the relaxation's former matcher (plain Hopcroft-Karp
-from a greedy start), and its former Gallai build (a stable sort of the
-arcs by tail) and first-fit start (a slice and a search per row).  Each
-is written against the problem
+from a greedy start), its former Gallai build (a stable sort of the
+arcs by tail) and first-fit start (a slice and a search per row), and the
+former pivot loop and merge, which built every cluster's member list.
+Each is written against the problem
 definition directly and independently of the approximation pipeline, so
 agreement between the two is meaningful evidence.  The one exception,
 ``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
@@ -18,15 +19,17 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left
+from time import perf_counter
 from typing import Callable, Sequence
 
 import numpy as np
 
-from clusterdel import (ArcBudgetError, CDResult, Graph, PivotStrategy,
-                        WedgeSet, pack_edge)
+from clusterdel import (ArcBudgetError, CDResult, Clustering, Graph,
+                        PivotAudit, PivotStrategy, WedgeSet, pack_edge)
 from clusterdel import pipelines
 from clusterdel.graph import _SHIFT
-from clusterdel.pivoting import adjacency_lists
+from clusterdel.pivoting import (_DegreeSelector, _RandomSelector,
+                                 _RatioSelector, adjacency_lists)
 from helpers import edge_ids, edge_mask, unpack_edge
 
 
@@ -516,3 +519,127 @@ def first_fit_by_slices(ptr: list[int], adj: list[int]
                 look[u] = adj.index(v, ptr[u]) + 1
                 break
     return mate_l, mate_r, look
+
+
+def pivot_lists_with_member_lists(adj: list[list[int]],
+                                  strategy: PivotStrategy
+                                  ) -> tuple[Clustering, PivotAudit]:
+    """``pivot_lists`` as it was before clusterings recorded only their
+    assignment: each round builds its cluster's sorted member list, and
+    the clustering holds the lists from the start.  The same selectors
+    pick the same pivots, so the assignment, lists, count and audit must
+    be the fast loop's."""
+    n = len(adj)
+    alive = bytearray(b"\x01") * n
+    live_deg = [len(a) for a in adj]
+    if strategy.kind == "degree":
+        selector = _DegreeSelector(alive, live_deg)
+    elif strategy.kind == "ratio":
+        selector = _RatioSelector(adj, alive, live_deg)
+    else:
+        selector = _RandomSelector(alive, strategy.seed)
+    assignment = [-1] * n
+    clusters: list[list[int]] = []
+    rounds: list[int] = []
+    total_b = 0
+    total_n = 0
+    left = n
+    while left:
+        k = selector.pop()
+        cid = len(clusters)
+        if not live_deg[k]:
+            alive[k] = 0
+            assignment[k] = cid
+            clusters.append([k])
+            rounds.extend((k, 0, 0))
+            left -= 1
+            continue
+        members = [u for u in adj[k] if alive[u]]
+        cluster = sorted(members + [k])
+        for v in cluster:
+            alive[v] = 0
+            assignment[v] = cid
+        touched = []
+        inside = 0
+        for u in members:
+            for w in adj[u]:
+                if alive[w]:
+                    live_deg[w] -= 1
+                    touched.append(w)
+                elif assignment[w] == cid:
+                    inside += 1
+        d = len(members)
+        b = len(touched)
+        nn = d * (d - 1) // 2 - (inside - d) // 2
+        clusters.append(cluster)
+        rounds.extend((k, b, nn))
+        total_b += b
+        total_n += nn
+        left -= len(cluster)
+        selector.degrees_changed(touched)
+    return Clustering(assignment, clusters), PivotAudit(total_b, total_n,
+                                                        rounds)
+
+
+def merge_clusters_with_member_lists(g: Graph, clustering: Clustering,
+                                     max_passes: int | None = None,
+                                     budget_ms: float | None = None
+                                     ) -> Clustering:
+    """``merge_clusters`` as it was before clusterings recorded only their
+    assignment: it reads the input's member lists for their lengths and
+    hands back lists rebuilt from one stable argsort of the merged
+    owners.  The merge itself is the same one pass."""
+    if budget_ms is not None and not budget_ms >= 0:
+        raise ValueError("merge budget must be a non-negative number of "
+                         f"milliseconds, not {budget_ms!r}")
+    k0 = len(clustering.clusters)
+    owner = np.array(clustering.assignment, dtype=np.int64)
+    if len(owner) != g.n or np.any((owner < 0) | (owner >= k0)):
+        raise ValueError(f"assignment must give each of the {g.n} nodes a "
+                         f"cluster id in [0, {k0})")
+    sizes = np.bincount(owner, minlength=k0)
+    if not sizes.all():
+        raise ValueError(f"cluster {int(np.argmin(sizes))} is empty")
+    listed = list(map(len, clustering.clusters))
+    if sizes.tolist() != listed:
+        c = next(c for c in range(k0) if sizes[c] != listed[c])
+        raise ValueError(f"cluster {c} lists {listed[c]} nodes, but the "
+                         f"assignment gives it {sizes[c]}")
+    alive = [True] * k0
+    if max_passes is None or max_passes > 0:
+        deadline = (perf_counter() + budget_ms / 1000.0
+                    if budget_ms is not None else None)
+        ou, ov = owner[g._edge_u], owner[g._edge_v]
+        cut = ou != ov
+        order = np.argsort(-sizes, kind="stable")
+        size_at = sizes[order]
+        position = np.empty(k0, dtype=np.int64)
+        position[order] = np.arange(k0)
+        pu, pv = position[ou[cut]], position[ov[cut]]
+        keys, counts = np.unique(np.minimum(pu, pv) * k0
+                                 + np.maximum(pu, pv), return_counts=True)
+        keys = keys[counts == size_at[keys // k0] * size_at[keys % k0]]
+        complete = set(keys.tolist())
+        ps, qs = np.divmod(keys, k0)
+        root = list(range(k0))
+        turn, absorbed = -1, []
+        for p, q, a, b in zip(ps.tolist(), qs.tolist(), order[ps].tolist(),
+                              order[qs].tolist()):
+            if p != turn:
+                turn, absorbed = p, []
+            if not (alive[a] and alive[b]):
+                continue
+            if deadline is not None and perf_counter() > deadline:
+                break
+            if absorbed and any(r * k0 + q not in complete
+                                for r in absorbed):
+                continue
+            absorbed.append(q)
+            root[b] = a
+            alive[b] = False
+        owner = np.array(root, dtype=np.int64)[owner]
+    owner = (np.cumsum(alive, dtype=np.int64) - 1)[owner]
+    members = np.argsort(owner, kind="stable").tolist()
+    bounds = [0] + np.cumsum(np.bincount(owner)).tolist()
+    return Clustering(owner.tolist(),
+                      [members[i:j] for i, j in zip(bounds, bounds[1:])])

@@ -15,6 +15,11 @@ Each must give exactly what its reference gives:
   assignment of the pairwise scan, for none, one, two or unlimited
   passes, on pivot outputs and on arbitrary partitions into cliques
   (singletons among them);
+- the pivot loop and the merge, which record only assignments: the
+  assignment, member lists, cluster count and audit rounds of their
+  former builds, which made every member list (``oracles``), on
+  hypothesis graphs and their stripped lists; and the ``Clustering``
+  dataclass contract that lists passed in are kept as given;
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
 - the preparation: the weak set, weak mask and stripped graph's
@@ -32,7 +37,10 @@ from __future__ import annotations
 
 import random
 from collections import Counter
+from dataclasses import fields, replace
 from unittest import mock
+
+import numpy as np
 
 import pytest
 from hypothesis import given, settings
@@ -44,13 +52,17 @@ from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         solve_stc_lp, stc_lp_round)
 from clusterdel import pipelines, wedges
 from clusterdel.pipelines import _prepare
+from clusterdel.pivoting import adjacency_lists, pivot_lists
 from helpers import (edge_mask, maximal_wedge_set_by_cursor,
                      merge_clusters_pairwise, pivot_by_residual_graph,
                      planted_clusters, ratio_pivot_by_full_scan,
                      score_by_edge_loop, split_by_sorted_search,
                      weak_keys_by_edge_loop)
-from oracles import maximal_wedge_set_by_packed_keys, mfp_with_wedge_set
+from oracles import (maximal_wedge_set_by_packed_keys,
+                     merge_clusters_with_member_lists, mfp_with_wedge_set,
+                     pivot_lists_with_member_lists)
 from test_acceptance import corpus
+from test_pipelines import graphs
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
               + [PivotStrategy.random(seed) for seed in range(8)])
@@ -454,3 +466,69 @@ def test_merge_rejoins_split_planted_cliques(seed):
     assert_same_merge_of(g, clusters)
     once = merge_clusters(g, clustering_of(g.n, clusters), 1)
     assert once.num_clusters <= len(clusters) // 2
+
+
+def assert_same_clustering(got: Clustering, want: Clustering) -> None:
+    """got, made by pivoting or merging, against want, which holds its
+    lists from the start: the count first, before got builds its lists."""
+    assert got.num_clusters == want.num_clusters
+    assert got._lists is None
+    assert got.assignment == want.assignment
+    assert got.clusters == want.clusters
+    assert got.clusters is got.clusters
+
+
+def assert_same_as_member_lists(g: Graph) -> None:
+    whole = adjacency_lists(g, np.ones(g.m, dtype=bool))
+    for adj in (whole, _prepare(g, "mfp").adj):
+        for strategy in STRATEGIES:
+            got, audit = pivot_lists(adj, strategy)
+            want, want_audit = pivot_lists_with_member_lists(adj, strategy)
+            assert audit == want_audit
+            for passes in (None, 0, 1):
+                # the former merge reads want's lists, the new one none
+                assert_same_clustering(
+                    merge_clusters(g, got, passes),
+                    merge_clusters_with_member_lists(g, want, passes))
+            assert_same_clustering(got, want)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs())
+def test_pivot_and_merge_match_their_member_list_builds(g):
+    assert_same_as_member_lists(g)
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_pivot_and_merge_match_member_lists_on_planted_graphs(seed):
+    assert_same_as_member_lists(
+        planted_clusters([2, 3, 5, 8] * 3, 0.2, 30, seed))
+
+
+def test_clustering_dataclass_contract():
+    g = planted_clusters([3, 4, 5, 6], 0.2, 10, 1)
+    adj = adjacency_lists(g, np.ones(g.m, dtype=bool))
+    lazy, _ = pivot_lists(adj, PivotStrategy.degree())
+    former, _ = pivot_lists_with_member_lists(adj, PivotStrategy.degree())
+    assert [f.name for f in fields(Clustering) if f.init] == [
+        "assignment", "clusters"]
+    # lists passed in, by position or by replace, are what it returns
+    lists = [list(c) for c in former.clusters]
+    made = Clustering(list(former.assignment), lists)
+    assert made.clusters is lists and made.num_clusters == len(lists)
+    fewer = lists[1:]
+    planted = replace(lazy, clusters=fewer)
+    assert planted.clusters is fewer
+    assert planted.num_clusters == len(fewer)
+    assert planted.assignment == lazy.assignment
+    # a pivot's count needs no lists; its lists, once read, are kept
+    assert lazy.num_clusters == former.num_clusters
+    assert lazy._lists is None
+    assert lazy.clusters == former.clusters
+    assert lazy.clusters is lazy.clusters
+    assert lazy == former
+    # left out, the lists come from the assignment: an id that no node
+    # has gives an empty list
+    assert Clustering([1, 1, 3]).num_clusters == 4
+    assert Clustering([1, 1, 3]).clusters == [[], [0, 1], [], [2]]
+    assert Clustering([]).clusters == []

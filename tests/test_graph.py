@@ -64,6 +64,19 @@ def test_parse_accepts_bytes_and_line_iterables():
         assert (g.n, g.m) == (3, 2)
 
 
+def test_parse_rejects_a_path_and_reads_a_str_as_text(tmp_path):
+    path = tmp_path / "edges.txt"
+    path.write_text("1 2\n2 3\n")
+    with pytest.raises(TypeError, match="an open file") as exc:
+        parse_edge_list(path)
+    assert str(path) in str(exc.value)
+    # a str is the text itself, not a file name
+    with pytest.raises(EdgeListParseError, match="line 1"):
+        parse_edge_list(str(path))
+    with open(path, encoding="utf-8") as fh:
+        assert parse_edge_list(fh).m == 2
+
+
 @pytest.mark.parametrize("text,lineno", [
     ("1 2 3\n", 1),
     ("1 2\n7\n", 2),

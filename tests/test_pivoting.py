@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,11 +16,13 @@ from hypothesis import strategies as st
 from clusterdel import (
     Clustering,
     Graph,
+    InvariantError,
     PivotStrategy,
     clustering_lines,
     er_graph,
     pivot,
 )
+from clusterdel import pivoting
 from clusterdel.pivoting import (_RandomSelector, _RatioSelector,
                                  adjacency_lists, pivot_lists)
 from helpers import (cut_deletions, draw_live_candidate, planted_clusters,
@@ -414,3 +420,57 @@ def test_clustering_lines_use_labels():
 def test_num_clusters():
     c = Clustering([0, 0, 1], [[0, 1], [2]])
     assert c.num_clusters == 2
+
+
+class HandsOut:
+    """A selector stub that hands out the given nodes in turn, live or
+    not."""
+
+    def __init__(self, nodes: list[int]):
+        self.nodes = iter(nodes)
+
+    def pop(self) -> int:
+        return next(self.nodes)
+
+    def degrees_changed(self, touched: list[int]) -> None:
+        pass
+
+
+# (n, edges, the nodes handed out): node 0 again while 2 and 3 are still
+# live, which uses up the count of nodes left; and node 0 again before one
+# cluster takes every node left, which overdraws it
+CLUSTERED_AGAIN = [(4, [(0, 1)], [0, 0]), (3, [(1, 2)], [0, 0, 1])]
+
+
+@pytest.mark.parametrize("n, edges, nodes", CLUSTERED_AGAIN)
+def test_pivot_on_a_clustered_node_raises(monkeypatch, n, edges, nodes):
+    monkeypatch.setattr(pivoting, "_DegreeSelector",
+                        lambda alive, live_deg: HandsOut(nodes))
+    with pytest.raises(InvariantError, match="already clustered"):
+        pivot(Graph.from_edges(n, edges), PivotStrategy.degree())
+
+
+def test_pivot_on_a_clustered_node_raises_under_python_O():
+    # the check is no assert, which -O would strip
+    code = f"""
+import clusterdel
+from clusterdel import pivoting
+from test_pivoting import CLUSTERED_AGAIN, HandsOut
+for n, edges, nodes in CLUSTERED_AGAIN:
+    pivoting._DegreeSelector = lambda a, d, nodes=nodes: HandsOut(nodes)
+    try:
+        clusterdel.pivot(clusterdel.Graph.from_edges(n, edges),
+                         clusterdel.PivotStrategy.degree())
+    except clusterdel.InvariantError:
+        print("raised")
+"""
+    root = Path(__file__).resolve().parent.parent
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(root / "src"), str(root / "tests"),
+                    env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", code],
+                          capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["raised"] * len(CLUSTERED_AGAIN)
