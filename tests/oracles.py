@@ -10,9 +10,11 @@ arcs by tail) and first-fit start (a slice and a search per row), and the
 former pivot loop and merge, which built every cluster's member list.
 Each is written against the problem
 definition directly and independently of the approximation pipeline, so
-agreement between the two is meaningful evidence.  The one exception,
-``mfp_with_wedge_set``, runs a fixed wedge set through the pipeline's own
-strip, pivot and scoring, once ``verify_wedge_set`` has accepted it.
+agreement between the two is meaningful evidence.  Two exceptions:
+``mfp_with_wedge_set`` runs a fixed wedge set through the pipeline's own
+strip, pivot and scoring, once ``verify_wedge_set`` has accepted it; and
+the former pivot loop drives the package's own selectors, so that it
+checks the loop and its clustering alone.
 """
 
 from __future__ import annotations
