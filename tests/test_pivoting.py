@@ -452,7 +452,7 @@ def test_pivot_on_a_clustered_node_raises(monkeypatch, n, edges, nodes):
 
 def test_pivot_on_a_clustered_node_raises_under_python_O():
     # the check is no assert, which -O would strip
-    code = f"""
+    code = """
 import clusterdel
 from clusterdel import pivoting
 from test_pivoting import CLUSTERED_AGAIN, HandsOut
