@@ -18,14 +18,16 @@ one.  Per input file, the items are:
   inspection count and its weak mask;
 - ``relaxation``: ``solve_stc_lp``'s value per edge and its objective, or
   the ``ArcBudgetError`` it raises;
+- ``lb``: ``clusterdel lb --in <file>``'s exit code, standard output and
+  standard error, from ``clusterdel.cli.main`` in this process;
 - ``<algo>/<strategy>`` and ``<algo>/<strategy>/merged``, for ``mfp`` and
   ``stclp``, the strategies ``degree``, ``ratio`` and ``random-<seed>`` for
   seeds 0-7, and ``best-of-8`` (seeds 0-7, with its summary): the call's
   ``to_json_dict()`` without ``runtime_ms``, its assignment, clusters and
   audit rounds, and the same of ``apply_merge`` on it.
 
-The relaxation takes seconds on a ``big-mfp`` file, so ``relaxation`` and
-the ``stclp`` calls run on the seed-11 ``big-mfp`` file only.
+The relaxation takes seconds on a ``big-mfp`` file, so ``relaxation``,
+``lb`` and the ``stclp`` calls run on the seed-11 ``big-mfp`` file only.
 """
 
 from __future__ import annotations
@@ -33,8 +35,10 @@ from __future__ import annotations
 import argparse
 import gzip
 import hashlib
+import io
 import json
 import sys
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -73,6 +77,13 @@ def result_payload(res) -> dict:
             "audit": res.audit.per_iteration}
 
 
+def lb_payload(cli, path: Path) -> dict:
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = cli.main(["lb", "--in", str(path)])
+    return {"exit": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
+
+
 def file_items(cd, path: Path, with_lp: bool):
     """(item, payload) for every output on one input file."""
     opener = gzip.open if path.suffix == ".gz" else open
@@ -91,6 +102,7 @@ def file_items(cd, path: Path, with_lp: bool):
             yield "relaxation", {"values": list(sol.values),
                                  "objective": sol.objective_half_units}
             algorithms.append(("stclp", cd.stc_lp_round))
+        yield "lb", lb_payload(cd.cli, path)
     for algo, pipeline in algorithms:
         calls = [("degree", lambda: pipeline(g, cd.PivotStrategy.degree())),
                  ("ratio", lambda: pipeline(g, cd.PivotStrategy.ratio()))]
@@ -121,6 +133,7 @@ def main(argv: list[str] | None = None) -> int:
     src = args.src.resolve()
     sys.path.insert(0, str(src))
     import clusterdel as cd
+    import clusterdel.cli  # binds cd.cli, whose main file_items runs
     if not Path(cd.__file__).resolve().is_relative_to(src):
         raise SystemExit(f"clusterdel came from {cd.__file__}, not {src}")
     lines = []

@@ -28,14 +28,15 @@ import json
 import sys
 import zlib
 
+import numpy as np
+
 from .generators import er_graph, tight_instance
 from .graph import (EdgeListParseError, InvariantError, parse_edge_list,
                     serialize_edge_list)
-from .pipelines import (apply_merge, best_of_random, match_flip_pivot,
-                        stc_lp_round)
+from .pipelines import (_lower_bound, apply_merge, best_of_random,
+                        match_flip_pivot, stc_lp_round)
 from .pivoting import PivotStrategy, clustering_lines
-from .stc import DEFAULT_ARC_BUDGET, ArcBudgetError, solve_stc_lp
-from .wedges import maximal_wedge_set_fast
+from .stc import DEFAULT_ARC_BUDGET, ArcBudgetError
 
 
 class _Parser(argparse.ArgumentParser):
@@ -172,16 +173,16 @@ def _cmd_lb(args) -> int:
         g = _load_graph(args.infile)
     except _LOAD_ERRORS as exc:
         return _fail(str(exc), 1)
-    ws = maximal_wedge_set_fast(g)
-    print(f"wedges={ws.wedge_count}")
-    print(f"weak_edges={ws.weak_count}")
+    mfp = _lower_bound(g, "mfp", args.lp_arc_budget)
+    print(f"wedges={mfp.wedges}")
+    print(f"weak_edges={np.count_nonzero(mfp.weak_mask)}")
     try:
-        sol = solve_stc_lp(g, arc_budget=args.lp_arc_budget)
+        stclp = _lower_bound(g, "stclp", args.lp_arc_budget)
     except ArcBudgetError as exc:
         print(f"clusterdel: warning: relaxation skipped: {exc}",
               file=sys.stderr)
         return 0
-    print(f"lp_value_half_units={sol.objective_half_units}")
+    print(f"lp_value_half_units={stclp.lp_value_half_units}")
     return 0
 
 

@@ -60,9 +60,10 @@ class Graph:
     ``labels`` maps internal id -> original label; it is None for graphs
     whose nodes are already dense ints.  ``_edge_keys`` is the key index,
     the set of the edges' compact keys ``lo * _base + hi``.  ``_bounds``
-    is the pipelines' memo of the graph's certified lower bounds and
-    stripped adjacency lists, filled only by ``pipelines._prepare``; it
-    never changes what the graph is.
+    is the pipelines' memo of the graph's certified lower bounds, each a
+    ``pipelines.Certificate`` (which holds no reference to the graph)
+    beside its stripped adjacency lists, filled only by
+    ``pipelines._prepare``; it never changes what the graph is.
     """
 
     __slots__ = ("n", "m", "labels", "_indptr", "_nbrs", "_slot_eid",

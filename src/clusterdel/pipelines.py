@@ -14,12 +14,15 @@ lp rounding ("stclp"): E_W holds the edges at weakness >= 1/2 in the
 half-integral STC relaxation; half the relaxation value lower-bounds the
 optimum and deletions stay within 3x of it.
 
-The bound is the expensive stage, and every pipeline call on one graph
-shares it: the first call computes it (mfp, or stclp per arc budget),
-strips its weak edges into adjacency lists, and memoizes both on the
-graph, and later calls, whatever their strategy, reuse them.  A call's
-``runtime_ms["lower_bound"]`` is that call's own preparation time, the
-lookup or the computation of the bound and the strip, so it is near 0
+A certified bound is one ``Certificate``, which holds no reference to its
+graph.  The bound is the expensive stage, and every pipeline call on one
+graph shares it: the first call computes it (mfp, or stclp per arc
+budget), strips its weak edges into adjacency lists, and memoizes both on
+the graph, and later calls, whatever their strategy, reuse them.  Each
+result, and each merge of one, holds that same certificate beside the
+graph, and ``clusterdel lb`` prints the fields of the two it computes.  A
+call's ``runtime_ms["lower_bound"]`` is that call's own preparation time,
+the lookup or the computation of the bound and the strip, so it is near 0
 when they are reused.
 """
 
@@ -39,17 +42,17 @@ from .stc import DEFAULT_ARC_BUDGET, solve_stc_lp
 from .wedges import maximal_wedge_set_fast
 
 
-@dataclass
-class Certificate:
-    """A certified lower bound on graph and its weak edges E_W, held only
-    as a mask (results keep this for rescoring, never the stripped graph)."""
+class Certificate(NamedTuple):
+    """A certified lower bound on a graph's deletions and its weak edges
+    E_W, held only as a mask.  It holds no reference to the graph: the
+    graph's memo keeps it beside the stripped lists, and every result on
+    the graph shares it.  Both arrays are read-only."""
 
     algorithm: str
-    graph: Graph
     wedges: int | None
     lp_value_half_units: int | None
     lower_bound_half_units: int
-    # weak_mask[e]: edge e of graph is in E_W
+    # weak_mask[e]: edge e of the graph is in E_W
     weak_mask: np.ndarray
     # stclp: the relaxation's values by edge id, in half-units
     values: np.ndarray | None
@@ -83,11 +86,12 @@ class CDResult:
     merged: bool
     runtime_ms: dict[str, float | None]
     certificate: Certificate = field(repr=False)
+    graph: Graph = field(repr=False)
 
     @property
     def weak_set(self) -> set[int]:
         """E_W as packed keys, in a new set on each read."""
-        return self.certificate.graph.masked_keys(self.certificate.weak_mask)
+        return self.graph.masked_keys(self.certificate.weak_mask)
 
     def to_json_dict(self) -> dict:
         if self.ratio is None:
@@ -112,41 +116,32 @@ class CDResult:
                 "runtime_ms": dict(self.runtime_ms)}
 
 
-class _Bound(NamedTuple):
-    """The fields of a Certificate that do not refer to its graph, as
-    memoized in ``Graph._bounds`` beside the stripped lists; both arrays
-    are read-only."""
-
-    wedges: int | None
-    lp_value_half_units: int | None
-    lower_bound_half_units: int
-    weak_mask: np.ndarray
-    values: np.ndarray | None
-
-
-def _lower_bound(g: Graph, algorithm: str, arc_budget: int) -> _Bound:
+def _lower_bound(g: Graph, algorithm: str, arc_budget: int) -> Certificate:
     if algorithm == "mfp":
         ws = maximal_wedge_set_fast(g)
         count = ws.wedge_count
-        bound = _Bound(count, None, 2 * count, ws.weak_mask, None)
+        cert = Certificate(algorithm, count, None, 2 * count, ws.weak_mask,
+                           None)
     else:
         sol = solve_stc_lp(g, arc_budget)
         lp_half = sol.objective_half_units
         values = np.array(sol.values, dtype=np.int64)
-        bound = _Bound(None, lp_half, lp_half, values >= 1, values)
-    bound.weak_mask.flags.writeable = False
-    if bound.values is not None:
-        bound.values.flags.writeable = False
-    return bound
+        cert = Certificate(algorithm, None, lp_half, lp_half, values >= 1,
+                           values)
+    cert.weak_mask.flags.writeable = False
+    if cert.values is not None:
+        cert.values.flags.writeable = False
+    return cert
 
 
 @dataclass
 class _Preparation:
-    """Stage 1, shared by every pivot run of one pipeline call: the
-    certificate, the adjacency lists of the graph stripped of its weak
+    """Stage 1, shared by every pivot run of one pipeline call: the graph,
+    its certificate, the adjacency lists of the graph stripped of its weak
     edges, taken from the graph's CSR through the weak mask (each pivot
     only reads them), and the milliseconds the call took to get both."""
 
+    graph: Graph
     cert: Certificate
     adj: list[list[int]]
     ms: float
@@ -154,11 +149,10 @@ class _Preparation:
 
 def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET
              ) -> _Preparation:
-    """The bound and the stripped lists come from g's memo, keyed "mfp"
-    or ("stclp", arc_budget), which holds no reference to g; a bound that
-    fails (an ArcBudgetError, say) is not memoized.  The certificate is
-    built anew on each call.  The lists live as long as g, and every
-    pivot of every call on g reads the same ones."""
+    """The certificate and the stripped lists come from g's memo, keyed
+    "mfp" or ("stclp", arc_budget), which holds no reference to g; a bound
+    that fails (an ArcBudgetError, say) is not memoized.  Both live as
+    long as g, and every call on g hands out the same ones."""
     t0 = perf_counter()
     if algorithm == "mfp":
         key = "mfp"
@@ -168,17 +162,16 @@ def _prepare(g: Graph, algorithm: str, arc_budget: int = DEFAULT_ARC_BUDGET
         raise ValueError(f"unknown algorithm {algorithm!r}")
     memo = g._bounds.get(key)
     if memo is None:
-        bound = _lower_bound(g, algorithm, arc_budget)
-        memo = g._bounds[key] = bound, adjacency_lists(g, ~bound.weak_mask)
-    bound, adj = memo
-    cert = Certificate(algorithm, g, *bound)
-    return _Preparation(cert, adj, (perf_counter() - t0) * 1000.0)
+        cert = _lower_bound(g, algorithm, arc_budget)
+        memo = g._bounds[key] = cert, adjacency_lists(g, ~cert.weak_mask)
+    cert, adj = memo
+    return _Preparation(g, cert, adj, (perf_counter() - t0) * 1000.0)
 
 
-def _score(cert: Certificate, clustering: Clustering, audit: PivotAudit,
-           strategy: str, seed: int | None, merged: bool,
+def _score(g: Graph, cert: Certificate, clustering: Clustering,
+           audit: PivotAudit, strategy: str, seed: int | None, merged: bool,
            runtime_ms: dict[str, float | None]) -> CDResult:
-    g, weak, values = cert.graph, cert.weak_mask, cert.values
+    weak, values = cert.weak_mask, cert.values
     assignment = np.array(clustering.assignment, dtype=np.int64)
     cut = assignment[g._edge_u] != assignment[g._edge_v]
     cut_weak = cut & weak
@@ -219,7 +212,7 @@ def _score(cert: Certificate, clustering: Clustering, audit: PivotAudit,
         boundary_edges=audit.boundary_edges,
         internal_nonedges=audit.internal_nonedges,
         clustering=clustering, audit=audit, merged=merged,
-        runtime_ms=runtime_ms, certificate=cert)
+        runtime_ms=runtime_ms, certificate=cert, graph=g)
 
 
 def _finish(prep: _Preparation, strategy: PivotStrategy) -> CDResult:
@@ -227,8 +220,8 @@ def _finish(prep: _Preparation, strategy: PivotStrategy) -> CDResult:
     clustering, audit = pivot_lists(prep.adj, strategy)
     pivot_ms = (perf_counter() - t0) * 1000.0
     runtime_ms = {"lower_bound": prep.ms, "pivot": pivot_ms, "merge": None}
-    return _score(prep.cert, clustering, audit, strategy.kind, strategy.seed,
-                  False, runtime_ms)
+    return _score(prep.graph, prep.cert, clustering, audit, strategy.kind,
+                  strategy.seed, False, runtime_ms)
 
 
 def match_flip_pivot(g: Graph, strategy: PivotStrategy) -> CDResult:
@@ -375,15 +368,15 @@ def apply_merge(g: Graph, result: CDResult,
                 budget_ms: float | None = None) -> CDResult:
     """Post-process a pipeline result with clique-preserving merges and
     rescore it; the pivot-stage audit fields carry over unchanged."""
-    if g is not result.certificate.graph:
+    if g is not result.graph:
         raise ValueError("g is not the graph the result was computed on")
     t0 = perf_counter()
     merged = merge_clusters(g, result.clustering, budget_ms=budget_ms)
     merge_ms = (perf_counter() - t0) * 1000.0
     runtime_ms = dict(result.runtime_ms)
     runtime_ms["merge"] = merge_ms
-    out = _score(result.certificate, merged, result.audit, result.strategy,
-                 result.seed, True, runtime_ms)
+    out = _score(g, result.certificate, merged, result.audit,
+                 result.strategy, result.seed, True, runtime_ms)
     if out.deletions > result.deletions:
         raise InvariantError("merge increased deletions")
     return out

@@ -74,10 +74,6 @@ class WedgeSet:
         """E_W as packed keys, in a new set on each read."""
         return self.graph.masked_keys(self.weak_mask)
 
-    @property
-    def weak_count(self) -> int:
-        return int(np.count_nonzero(self.weak_mask))
-
 
 def maximal_wedge_set_fast(g: Graph) -> WedgeSet:
     """Skip-list matcher: per center, sweep live-neighbor pairs once.

@@ -173,10 +173,10 @@ def mfp_with_wedge_set(g: Graph, strategy: PivotStrategy, ws: WedgeSet
     """
     verify_wedge_set(g, ws)
     count = ws.wedge_count
-    cert = pipelines.Certificate("mfp", g, count, None, 2 * count,
+    cert = pipelines.Certificate("mfp", count, None, 2 * count,
                                  ws.weak_mask, None)
-    prep = pipelines._Preparation(cert, adjacency_lists(g, ~ws.weak_mask),
-                                  0.0)
+    prep = pipelines._Preparation(g, cert,
+                                  adjacency_lists(g, ~ws.weak_mask), 0.0)
     return pipelines._finish(prep, strategy)
 
 

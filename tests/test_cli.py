@@ -10,11 +10,16 @@ import sys
 from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from clusterdel import (Clustering, parse_edge_list, pipelines,
-                        serialize_edge_list, tight_instance)
+from clusterdel import (ArcBudgetError, Clustering, PivotStrategy,
+                        apply_merge, match_flip_pivot,
+                        maximal_wedge_set_fast, parse_edge_list, pipelines,
+                        serialize_edge_list, solve_stc_lp, stc_lp_round,
+                        tight_instance)
 from clusterdel.cli import main
+from clusterdel.stc import DEFAULT_ARC_BUDGET
 
 RUN_LINE = re.compile(
     r"^deletions=(\d+) lower_bound_half_units=(\d+) "
@@ -254,6 +259,81 @@ def test_lb_arc_budget_warns_but_succeeds(tight_file):
     assert code == 0
     assert "lp_value_half_units" not in out
     assert "relaxation skipped" in err
+
+
+def _clique_lines(labels) -> list[str]:
+    return [f"{u} {v}" for i, u in enumerate(labels) for v in labels[i + 1:]]
+
+
+# adversarial input files by name: their text, and whether to gzip it
+ADVERSARIAL_FILES = {
+    "empty.txt": ("", False),
+    "comments.txt": ("# only comments\n#\n   # indented\n", False),
+    "crlf.txt": ("0 1\r\n1 2\r\n2 3\r\n1 3\r\n", False),
+    "tight12.txt.gz": (serialize_edge_list(tight_instance(12)), True),
+    "big-labels.txt": (f"{2**63} 7\n7 {2**64 + 1}\n{2**63} {2**64 + 1}\n"
+                       f"{2**64 + 1} 3\n3 {2**63 + 5}\n", False),
+    "k12.txt": ("\n".join(_clique_lines(list(range(12)))) + "\n", False),
+    "cliques-and-star.txt": ("\n".join(
+        _clique_lines([10, 11, 12]) + _clique_lines([20, 21, 22, 23])
+        + _clique_lines([30, 31, 32, 33, 34])
+        + [f"40 {leaf}" for leaf in range(41, 48)]) + "\n", False),
+}
+
+
+@pytest.fixture(params=sorted(ADVERSARIAL_FILES))
+def adversarial_file(request, tmp_path):
+    text, packed = ADVERSARIAL_FILES[request.param]
+    path = tmp_path / request.param
+    data = text.encode()
+    path.write_bytes(gzip.compress(data, mtime=0) if packed else data)
+    with (gzip.open if packed else open)(path, "rt", encoding="utf-8") as fh:
+        return str(path), parse_edge_list(fh)
+
+
+@pytest.mark.parametrize("budget", [DEFAULT_ARC_BUDGET, 0])
+def test_lb_matches_the_library_on_adversarial_files(adversarial_file,
+                                                     budget):
+    path, g = adversarial_file
+    ws = maximal_wedge_set_fast(g)
+    want = [f"wedges={ws.wedge_count}",
+            f"weak_edges={np.count_nonzero(ws.weak_mask)}"]
+    try:
+        sol = solve_stc_lp(g, budget)
+    except ArcBudgetError as exc:
+        warning = f"clusterdel: warning: relaxation skipped: {exc}\n"
+    else:
+        want.append(f"lp_value_half_units={sol.objective_half_units}")
+        warning = ""
+    code, out, err = run_cli(["lb", "--in", path,
+                              "--lp-arc-budget", str(budget)])
+    assert (code, out.splitlines(), err) == (0, want, warning)
+
+
+@pytest.mark.parametrize("algo", ["mfp", "stclp"])
+def test_run_stats_match_the_library_on_adversarial_files(adversarial_file,
+                                                          algo, tmp_path):
+    path, g = adversarial_file
+    pipeline = match_flip_pivot if algo == "mfp" else stc_lp_round
+    stats = tmp_path / "stats.json"
+    for flags, strategy in ((["degree"], PivotStrategy.degree()),
+                            (["ratio"], PivotStrategy.ratio()),
+                            (["random", "--seed", "3"],
+                             PivotStrategy.random(3))):
+        for merge in (False, True):
+            res = pipeline(g, strategy)
+            if merge:
+                res = apply_merge(g, res)
+            want = res.to_json_dict()
+            del want["runtime_ms"]
+            code, _, err = run_cli(["run", "--in", path, "--algo", algo,
+                                    "--strategy", *flags,
+                                    "--stats", str(stats)]
+                                   + ["--merge"] * merge)
+            assert (code, err) == (0, "")
+            got = json.loads(stats.read_text())
+            del got["runtime_ms"]
+            assert got == want
 
 
 def test_run_arc_budget_exits_2(tight_file):

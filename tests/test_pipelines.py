@@ -5,6 +5,7 @@ import sys
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -271,7 +272,7 @@ def test_wedge_injection_overrides_matcher():
     ws, q = tight_wedge_set(g), 8 // 2
     res = mfp_with_wedge_set(g, PivotStrategy.ratio(), ws)
     assert res.wedges == q
-    assert res.weak_edges == ws.weak_count
+    assert res.weak_edges == np.count_nonzero(ws.weak_mask)
     assert res.weak_set == ws.weak_edges
 
 
@@ -541,6 +542,41 @@ def test_certificate_arrays_are_read_only(pipeline):
         if cert.values is not None:
             with pytest.raises(ValueError, match="read-only"):
                 cert.values[0] = 2
+
+
+@pytest.mark.parametrize("algorithm", ["mfp", "stclp"])
+def test_one_certificate_per_bound(algorithm):
+    g = planted_clusters([3, 4, 5, 6, 7], 0.2, 15, 2)
+    pipeline = match_flip_pivot if algorithm == "mfp" else stc_lp_round
+    first = pipeline(g, PivotStrategy.degree())
+    results = [first, pipeline(g, PivotStrategy.ratio()),
+               best_of_random(g, 3, 5, algorithm=algorithm)[0],
+               apply_merge(g, first)]
+    key = "mfp" if algorithm == "mfp" else ("stclp", DEFAULT_ARC_BUDGET)
+    cert = g._bounds[key][0]
+    # every result on g, merged or not, holds the memo's own certificate
+    # beside g, and the certificate holds no graph
+    for res in results:
+        assert res.certificate is cert
+        assert res.graph is g
+        assert (res.algorithm, res.wedges, res.lp_value_half_units,
+                res.lower_bound_half_units) == cert[:4]
+    assert cert.algorithm == algorithm
+    assert not any(isinstance(part, Graph) for part in cert)
+    # lb computes the same bound through the same function
+    fresh = pipelines._lower_bound(g, algorithm, DEFAULT_ARC_BUDGET)
+    assert fresh is not cert
+    assert fresh[:4] == cert[:4]
+    assert fresh.weak_mask.tolist() == cert.weak_mask.tolist()
+    if algorithm == "stclp":
+        assert fresh.values.tolist() == cert.values.tolist()
+    else:
+        assert fresh.values is cert.values is None
+    # the benchmark's self-test forges a result's bound this way
+    forged = replace(first, lower_bound_half_units=1)
+    assert forged.lower_bound_half_units == 1
+    assert forged.certificate is cert and forged.graph is g
+    assert forged.weak_set == first.weak_set
 
 
 @pytest.mark.parametrize("call", SHARED_BOUND_CALLS)

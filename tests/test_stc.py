@@ -308,6 +308,29 @@ def test_matching_is_maximum_on_gallai_csrs(kind, seed, gain):
         assert_maximum_matching(ptr, adj)
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(("er", "planted", "hub")), st.integers(0, 10**6),
+       st.randoms(use_true_random=False))
+def test_lp_values_move_with_their_edges(kind, seed, rng):
+    # the relaxation reads its values off the König-minimal cut, which is
+    # unique, so they belong to the edges: shuffling the edge list (and
+    # each edge's two ends) and relabelling the nodes moves each value
+    # with its edge and leaves the objective as it was
+    g = graph_of_kind(kind, seed)
+    label = list(range(g.n))
+    rng.shuffle(label)
+    edges = [(label[u], label[v]) for u, v in g.edges()]
+    order = list(range(g.m))
+    rng.shuffle(order)
+    moved = Graph.from_edges(g.n, [edges[e][::rng.choice((1, -1))]
+                                   for e in order])
+    sol, moved_sol = solve_stc_lp(g), solve_stc_lp(moved)
+    assert moved_sol.objective_half_units == sol.objective_half_units
+    ids = edge_ids(moved)
+    assert [moved_sol.values[ids[pack_edge(*edge)]] for edge in edges] \
+        == sol.values
+
+
 # a few pairs per block, so that most graphs take several blocks, and
 # the shipped block
 PAIR_BLOCKS = (3, 40, stc._PAIR_BLOCK)
