@@ -15,9 +15,10 @@ Exit codes: 0 ok, 1 unreadable input or an output that cannot be written
 (a missing file, bytes that are not UTF-8, a truncated or corrupted .gz, a
 bad line, or an --out or --stats path that cannot be opened), 2 relaxation
 arc budget exceeded, 3 invalid flags or parameters (among them a negative
---lp-arc-budget, and a --merge-budget-ms that is NaN or negative; both are
-checked before the input is read), 4 internal error (a result failed one
-of its invariant checks; this is a bug, not a problem with the input).
+--lp-arc-budget or --seed, and a --merge-budget-ms that is NaN or
+negative; all are checked before the input is read), 4 internal error (a
+result failed one of its invariant checks; this is a bug, not a problem
+with the input).
 """
 
 from __future__ import annotations
@@ -61,7 +62,8 @@ def _build_parser() -> _Parser:
     run.add_argument("--trials", type=int, default=1,
                      help="random-strategy restarts (seeds seed..seed+T-1)")
     run.add_argument("--seed", type=int, default=None,
-                     help="base seed for the random strategy (default 0)")
+                     help="non-negative base seed for the random strategy "
+                          "(default 0)")
     run.add_argument("--merge", action="store_true",
                      help="post-process with clique-preserving merges")
     run.add_argument("--merge-budget-ms", type=float, default=None)
@@ -81,7 +83,8 @@ def _build_parser() -> _Parser:
                        help="tight clique-with-pendants instance")
     group.add_argument("--er", nargs=2, metavar=("N", "P"),
                        help="Erdos-Renyi G(n, p)")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=0,
+                     help="non-negative seed for --er")
     gen.add_argument("--out", default=None, help="default stdout")
     return parser
 
@@ -119,6 +122,8 @@ def _cmd_run(args) -> int:
         return _fail("--trials needs --strategy random", 3)
     if args.seed is not None and args.strategy != "random":
         return _fail("--seed only applies to --strategy random", 3)
+    if args.seed is not None and args.seed < 0:
+        return _fail("--seed must not be negative", 3)
     if args.merge_budget_ms is not None and not args.merge:
         return _fail("--merge-budget-ms needs --merge", 3)
     if args.merge_budget_ms is not None and not args.merge_budget_ms >= 0:

@@ -26,9 +26,12 @@ def tight_instance(n: int) -> Graph:
 
 
 def er_graph(n: int, p: float, seed: int) -> Graph:
-    """G(n, p) sampled with geometric skips, O(n + m) time."""
+    """G(n, p) sampled with geometric skips, O(n + m) time.  The seed must
+    not be negative: random.Random(-s) is seeded as Random(s)."""
     if n < 0:
         raise ValueError("n must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     if not 0.0 <= p <= 1.0:
         raise ValueError("p must lie in [0, 1]")
     edges: list[tuple[int, int]] = []

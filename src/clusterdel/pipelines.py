@@ -242,9 +242,12 @@ def best_of_random(g: Graph, trials: int, base_seed: int = 0,
     """Run the random strategy with seeds base_seed..base_seed+trials-1
     over a single stage-1 preparation, whose bound is shared with every
     other pipeline call on g; returns the best run (fewest deletions,
-    earliest seed on ties) and summary statistics."""
+    earliest seed on ties) and summary statistics.  base_seed must not be
+    negative: random.Random(-s) is seeded as Random(s)."""
     if trials < 1:
         raise ValueError("trials must be positive")
+    if base_seed < 0:
+        raise ValueError(f"base seed must not be negative, not {base_seed}")
     prep = _prepare(g, algorithm, arc_budget)
     best: CDResult | None = None
     total_deletions = 0

@@ -32,11 +32,11 @@ on each read.  The clustering, likewise, is recorded as its assignment and
 its number of clusters; no round builds a member list, and
 ``Clustering.clusters`` builds all of them with one stable argsort when it
 is first read (the pipelines never read it; scoring, merging and the CLI
-read the assignment).  All three strategies share the loop and differ only
-in their selector.  The loop ends once its count of nodes left to assign
-reaches 0 or goes below, and raises ``InvariantError`` unless that count is
-exactly 0 and no node is live: a selector that hands out a node already
-clustered would otherwise loop for ever.
+read the assignment).  All three strategies share the one loop and differ
+only in how it picks the pivot.  The loop ends once its count of nodes
+left to assign reaches 0 or goes below, and raises ``InvariantError``
+unless that count is exactly 0 and no node is live: a pick of a node
+already clustered would otherwise loop for ever.
 
 The degree and ratio selectors share one lazy min-heap of int keys
 (``_HeapSelector``), a node's rank times n plus its id, so heapq compares
@@ -53,14 +53,15 @@ degrees, so a round costs that sum over the dirty set instead of over
 every live node; like the pivot loop, it reads the node's row unfiltered
 while the node's live degree says no neighbour has died.
 
-The random selector draws an index below the candidate count n with
-``randrange``'s own steps inlined (getrandbits of n.bit_length() bits,
-redrawn while out of range), so a seed picks the same nodes as it always
-has.  A dead candidate stays in the list until a draw lands on it, which
-costs one more draw; removing candidates as they die would change which
-node a seed picks.  The selector keeps n, the list's length, and its bit
-length from pop to pop, and changes them only when a draw lands on a dead
-candidate.
+Random pivots have no selector object: the loop draws them itself, with
+its candidate list, the list's length and that length's bit length as
+locals, so a draw costs no method call, and no round makes a call to
+update a selector.  Each draw is ``randrange``'s own steps (getrandbits of
+the length's bit length, redrawn while out of range), so a seed picks the
+same nodes as it always has.  A dead candidate stays in the list until a
+draw lands on it, which costs one more draw, and is then swapped out with
+the last candidate; removing candidates as they die would change which
+node a seed picks.  The length and bit length change only then.
 """
 
 from __future__ import annotations
@@ -99,6 +100,10 @@ class PivotStrategy:
             raise ValueError("random strategy needs a seed")
         if self.kind != "random" and self.seed is not None:
             raise ValueError(f"{self.kind} strategy takes no seed")
+        # random.Random(-s) is seeded as Random(s)
+        if self.kind == "random" and self.seed < 0:
+            raise ValueError(f"random seed must not be negative, "
+                             f"not {self.seed}")
 
 
 class _Clusters:
@@ -329,45 +334,6 @@ class _RatioSelector(_HeapSelector):
             heapq.heappush(heap, k)
 
 
-class _RandomSelector:
-    """Uniform draws from a list of candidates; a dead candidate stays in
-    the list until a draw lands on it, and is then swapped out.  The
-    list's length n and its bit length are kept from pop to pop."""
-
-    def __init__(self, alive: bytearray, seed: int):
-        self.alive = alive
-        self.getrandbits = random.Random(seed).getrandbits
-        self.live = list(range(len(alive)))
-        self.n = n = len(alive)
-        self.bits = n.bit_length()
-
-    def pop(self) -> int:
-        live = self.live
-        alive = self.alive
-        getrandbits = self.getrandbits
-        n = self.n
-        k = self.bits
-        while True:
-            # randrange(n) as CPython draws it (_randbelow_with_getrandbits)
-            idx = getrandbits(k)
-            while idx >= n:
-                idx = getrandbits(k)
-            v = live[idx]
-            if alive[v]:
-                self.n = n
-                self.bits = k
-                return v
-            # popped, not left past n, so the list's memory shrinks too
-            n -= 1
-            last = live.pop()
-            if idx < n:
-                live[idx] = last
-            k = n.bit_length()
-
-    def degrees_changed(self, touched: list[int]) -> None:
-        pass
-
-
 def adjacency_lists(g: Graph, keep: np.ndarray) -> list[list[int]]:
     """Sorted neighbour lists as Python lists, indexed by node id, of g
     with only the edges marked in keep, a boolean array over edge ids."""
@@ -394,12 +360,18 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
     n = len(adj)
     alive = bytearray(b"\x01") * n
     live_deg = [len(a) for a in adj]
-    if strategy.kind == "degree":
+    draw = strategy.kind == "random"
+    if draw:
+        # the draw's state: the candidate list, its length and that
+        # length's bit length
+        candidates = list(range(n))
+        count = n
+        bits = n.bit_length()
+        getrandbits = random.Random(strategy.seed).getrandbits
+    elif strategy.kind == "degree":
         selector = _DegreeSelector(alive, live_deg)
-    elif strategy.kind == "ratio":
-        selector = _RatioSelector(adj, alive, live_deg)
     else:
-        selector = _RandomSelector(alive, strategy.seed)
+        selector = _RatioSelector(adj, alive, live_deg)
     assignment = [-1] * n
     # a list: array("q").append parses each int, at 2-3 times the cost
     rounds: list[int] = []
@@ -408,10 +380,28 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
     total_n = 0
     cid = 0
     left = n
-    # left > 0, not left: a selector that hands out a dead node would
-    # drive left below 0, and the check after the loop reports it
+    # left > 0, not left: a pick of a dead node would drive left below
+    # 0, and the check after the loop reports it
     while left > 0:
-        k = selector.pop()
+        if draw:
+            while True:
+                # randrange(count) as CPython draws it
+                # (_randbelow_with_getrandbits)
+                idx = getrandbits(bits)
+                while idx >= count:
+                    idx = getrandbits(bits)
+                k = candidates[idx]
+                if alive[k]:
+                    break
+                # popped, not left past count, so the list's memory
+                # shrinks too
+                count -= 1
+                last = candidates.pop()
+                if idx < count:
+                    candidates[idx] = last
+                bits = count.bit_length()
+        else:
+            k = selector.pop()
         alive[k] = 0
         assignment[k] = cid
         if not live_deg[k]:
@@ -451,7 +441,8 @@ def pivot_lists(adj: list[list[int]], strategy: PivotStrategy
         total_n += nn
         cid += 1
         left -= d + 1
-        selector.degrees_changed(touched)
+        if not draw:
+            selector.degrees_changed(touched)
     if left or 1 in alive:
         raise InvariantError("pivoting took a node already clustered")
     return (Clustering._of_assignment(assignment, cid),

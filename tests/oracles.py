@@ -6,19 +6,21 @@ matcher's former build (closure tested by packed key), the canonical
 wedge set of the tight family, the verifiers of a wedge set and of
 relaxation values, the relaxation's former matcher (plain Hopcroft-Karp
 from a greedy start), its former Gallai build (a stable sort of the
-arcs by tail) and first-fit start (a slice and a search per row), and the
-former pivot loop and merge, which built every cluster's member list.
-Each is written against the problem
+arcs by tail) and first-fit start (a slice and a search per row), the
+former pivot loop and merge, which built every cluster's member list, and
+the random selector object that loop drew its random pivots from, before
+the package's loop drew them inline.  Each is written against the problem
 definition directly and independently of the approximation pipeline, so
 agreement between the two is meaningful evidence.  Two exceptions:
 ``mfp_with_wedge_set`` runs a fixed wedge set through the pipeline's own
 strip, pivot and scoring, once ``verify_wedge_set`` has accepted it; and
-the former pivot loop drives the package's own selectors, so that it
-checks the loop and its clustering alone.
+the former pivot loop drives the package's own degree and ratio
+selectors, so that it checks the loop and its clustering alone.
 """
 
 from __future__ import annotations
 
+import random
 from array import array
 from bisect import bisect_left
 from time import perf_counter
@@ -30,8 +32,8 @@ from clusterdel import (ArcBudgetError, CDResult, Clustering, Graph,
                         PivotAudit, PivotStrategy, WedgeSet, pack_edge)
 from clusterdel import pipelines
 from clusterdel.graph import _SHIFT
-from clusterdel.pivoting import (_DegreeSelector, _RandomSelector,
-                                 _RatioSelector, adjacency_lists)
+from clusterdel.pivoting import (_DegreeSelector, _RatioSelector,
+                                 adjacency_lists)
 from helpers import edge_ids, edge_mask, unpack_edge
 
 
@@ -521,6 +523,45 @@ def first_fit_by_slices(ptr: list[int], adj: list[int]
                 look[u] = adj.index(v, ptr[u]) + 1
                 break
     return mate_l, mate_r, look
+
+
+class _RandomSelector:
+    """Uniform draws from a list of candidates; a dead candidate stays in
+    the list until a draw lands on it, and is then swapped out.  The
+    list's length n and its bit length are kept from pop to pop."""
+
+    def __init__(self, alive: bytearray, seed: int):
+        self.alive = alive
+        self.getrandbits = random.Random(seed).getrandbits
+        self.live = list(range(len(alive)))
+        self.n = n = len(alive)
+        self.bits = n.bit_length()
+
+    def pop(self) -> int:
+        live = self.live
+        alive = self.alive
+        getrandbits = self.getrandbits
+        n = self.n
+        k = self.bits
+        while True:
+            # randrange(n) as CPython draws it (_randbelow_with_getrandbits)
+            idx = getrandbits(k)
+            while idx >= n:
+                idx = getrandbits(k)
+            v = live[idx]
+            if alive[v]:
+                self.n = n
+                self.bits = k
+                return v
+            # popped, not left past n, so the list's memory shrinks too
+            n -= 1
+            last = live.pop()
+            if idx < n:
+                live[idx] = last
+            k = n.bit_length()
+
+    def degrees_changed(self, touched: list[int]) -> None:
+        pass
 
 
 def pivot_lists_with_member_lists(adj: list[list[int]],

@@ -144,6 +144,28 @@ def test_bad_budgets_exit_3_before_reading_input(argv, tight_file, tmp_path):
         assert "must" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["run", "--strategy", "random", "--seed", "-1"],
+    ["run", "--strategy", "random", "--trials", "3", "--seed", "-1"],
+])
+def test_negative_seed_exits_3_before_reading_input(argv, tight_file,
+                                                    tmp_path):
+    for infile in (tight_file, str(tmp_path / "absent.txt")):
+        code, out, err = run_cli(argv[:1] + ["--in", infile] + argv[1:])
+        assert code == 3
+        assert out == ""
+        assert "--seed must not be negative" in err
+
+
+def test_gen_er_negative_seed_exits_3(tmp_path):
+    path = tmp_path / "er.txt"
+    code, out, err = run_cli(["gen", "--er", "60", "0.1", "--seed", "-1",
+                              "--out", str(path)])
+    assert code == 3
+    assert out == "" and not path.exists()
+    assert "seed" in err
+
+
 def test_run_merge_with_infinite_budget_merges(tight_file):
     _, merged_out, _ = run_cli(["run", "--in", tight_file, "--merge"])
     code, out, err = run_cli(["run", "--in", tight_file, "--merge",

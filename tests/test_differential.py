@@ -20,6 +20,10 @@ Each must give exactly what its reference gives:
   former builds, which made every member list (``oracles``), on
   hypothesis graphs and their stripped lists; and the ``Clustering``
   dataclass contract that lists passed in are kept as given;
+- the random pivots the loop draws inline: the assignment and audit
+  rounds of the former loop popping them from the former selector object
+  (``oracles``), on edgeless graphs, perfect matchings and sparse G(n, p)
+  at sizes either side of each power of two up to 2^10;
 - scoring: every stats field apart from runtime_ms, as an edge loop
   computes it, for both pipelines, merged and unmerged;
 - the preparation: the weak set, weak mask and stripped graph's
@@ -51,6 +55,7 @@ from clusterdel import (Clustering, Graph, PivotStrategy, apply_merge,
                         maximal_wedge_set_fast, merge_clusters, pivot,
                         solve_stc_lp, stc_lp_round)
 from clusterdel import pipelines, wedges
+import oracles
 from clusterdel.pipelines import _prepare
 from clusterdel.pivoting import adjacency_lists, pivot_lists
 from helpers import (edge_mask, maximal_wedge_set_by_cursor,
@@ -63,6 +68,7 @@ from oracles import (maximal_wedge_set_by_packed_keys,
                      pivot_lists_with_member_lists)
 from test_acceptance import corpus
 from test_pipelines import graphs
+from test_pivoting import DEAD_DRAW_SIZES
 
 STRATEGIES = ([PivotStrategy.degree(), PivotStrategy.ratio()]
               + [PivotStrategy.random(seed) for seed in range(8)])
@@ -503,6 +509,53 @@ def test_pivot_and_merge_match_their_member_list_builds(g):
 def test_pivot_and_merge_match_member_lists_on_planted_graphs(seed):
     assert_same_as_member_lists(
         planted_clusters([2, 3, 5, 8] * 3, 0.2, 30, seed))
+
+
+class CrossingSelector(oracles._RandomSelector):
+    """The former random selector, counting the pops in which a dead hit
+    takes the candidate count below a power of two."""
+
+    crossings = 0
+
+    def pop(self) -> int:
+        bits = self.bits
+        v = super().pop()
+        CrossingSelector.crossings += self.bits < bits
+        return v
+
+
+def random_draw_graphs(n: int) -> list[list[list[int]]]:
+    """Adjacency lists of three graphs on n nodes whose pivots leave many
+    dead candidates: edgeless, a perfect matching of a shuffled order
+    (one node unmatched for odd n), and a sparse G(n, 2/n)."""
+    order = list(range(n))
+    random.Random(n).shuffle(order)
+    matching = [[] for _ in range(n)]
+    for u, v in zip(order[0::2], order[1::2]):
+        matching[u].append(v)
+        matching[v].append(u)
+    sparse = er_graph(n, min(1.0, 2 / n), seed=n)
+    return [[[] for _ in range(n)], [sorted(row) for row in matching],
+            adjacency_lists(sparse, np.ones(sparse.m, dtype=bool))]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 61, 2**40 + 3])
+def test_inline_random_draws_match_the_former_selector(seed, monkeypatch):
+    # the loop draws random pivots inline; the former loop pops them from
+    # the selector object, which keeps its count and bit length from pop
+    # to pop.  Both must pick the same pivots, also where a dead hit takes
+    # the count below a power of two in the middle of a draw
+    monkeypatch.setattr(oracles, "_RandomSelector", CrossingSelector)
+    monkeypatch.setattr(CrossingSelector, "crossings", 0)
+    strategy = PivotStrategy.random(seed)
+    for n in DEAD_DRAW_SIZES:
+        for adj in random_draw_graphs(n):
+            got, audit = pivot_lists(adj, strategy)
+            want, want_audit = oracles.pivot_lists_with_member_lists(
+                adj, strategy)
+            assert got.assignment == want.assignment, n
+            assert audit.rounds == want_audit.rounds, n
+    assert CrossingSelector.crossings > 40
 
 
 def test_clustering_dataclass_contract():

@@ -61,6 +61,15 @@ def test_er_rejects_bad_parameters():
         er_graph(5, -0.1, seed=0)
 
 
+@pytest.mark.parametrize("n, p", [(60, 0.1), (5, 0.0), (5, 1.0), (0, 0.5)])
+def test_er_rejects_negative_seed(n, p):
+    # random.Random(-1) is seeded as Random(1), so seed -1 would give the
+    # seed-1 graph; rejected also where the graph draws nothing
+    with pytest.raises(ValueError, match="seed"):
+        er_graph(n, p, seed=-1)
+    assert er_graph(n, p, seed=0).n == n
+
+
 def test_er_deterministic_per_seed():
     a = er_graph(40, 0.2, seed=9)
     b = er_graph(40, 0.2, seed=9)

@@ -267,6 +267,15 @@ def test_best_of_random_validates_arguments():
         best_of_random(g, trials=2, algorithm="nope")
 
 
+def test_best_of_random_rejects_negative_base_seed(monkeypatch):
+    # base seed -1 would run seeds -1, 0, 1, and Random(-1) replays
+    # Random(1); the check comes before the preparation
+    g = er_graph(60, 0.1, seed=4)
+    monkeypatch.setattr(pipelines, "_prepare", None)
+    with pytest.raises(ValueError, match="must not be negative"):
+        best_of_random(g, trials=3, base_seed=-1)
+
+
 def test_wedge_injection_overrides_matcher():
     g = tight_instance(8)
     ws, q = tight_wedge_set(g), 8 // 2

@@ -23,10 +23,10 @@ from clusterdel import (
     pivot,
 )
 from clusterdel import pivoting
-from clusterdel.pivoting import (_RandomSelector, _RatioSelector,
-                                 adjacency_lists, pivot_lists)
+from clusterdel.pivoting import _RatioSelector, adjacency_lists, pivot_lists
 from helpers import (cut_deletions, draw_live_candidate, planted_clusters,
                      pivot_by_residual_graph)
+from oracles import _RandomSelector
 
 
 def test_strategy_validation():
@@ -39,6 +39,16 @@ def test_strategy_validation():
     assert PivotStrategy.degree().kind == "degree"
     assert PivotStrategy.ratio().seed is None
     assert PivotStrategy.random(7).seed == 7
+    assert PivotStrategy.random(0).seed == 0
+
+
+@pytest.mark.parametrize("seed", [-1, -3, -2**40])
+def test_negative_seed_is_rejected(seed):
+    # random.Random(-s) is seeded as Random(s), so -3 would replay 3
+    with pytest.raises(ValueError, match="must not be negative"):
+        PivotStrategy.random(seed)
+    with pytest.raises(ValueError, match="must not be negative"):
+        PivotStrategy("random", seed)
 
 
 def test_path_ratio_prefers_middle():
